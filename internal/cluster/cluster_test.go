@@ -332,6 +332,11 @@ func TestClusterCorruptTransfer(t *testing.T) {
 	if resp := put(stream[:len(stream)-20]); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("truncated stream accepted")
 	}
+	// A length prefix the declared body cannot back is rejected before the
+	// reader allocates for it: here a 2^30-byte magic in an 8-byte body.
+	if resp := put([]byte{0, 0, 0, 0x40, 0, 0, 0, 0}); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("huge length prefix: status %d, want 400", resp.StatusCode)
+	}
 	if _, ok := nd.reg.Get("corrupt"); ok {
 		t.Fatal("corrupt transfer left an instance behind")
 	}

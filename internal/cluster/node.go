@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -84,7 +85,13 @@ func (n *Node) exportHandler(w http.ResponseWriter, r *http.Request) {
 // torn transfer is rejected before any instance state changes.
 func (n *Node) installHandler(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	m, err := core.ReadAny(http.MaxBytesReader(w, r.Body, n.lim.Upload))
+	body := io.Reader(http.MaxBytesReader(w, r.Body, n.lim.Upload))
+	if r.ContentLength >= 0 && r.ContentLength <= n.lim.Upload {
+		// A declared length lets the reader reject a length prefix the
+		// body cannot back before allocating for it.
+		body = &io.LimitedReader{R: body, N: r.ContentLength}
+	}
+	m, err := core.ReadAny(body)
 	if err != nil {
 		if mbe := (*http.MaxBytesError)(nil); errors.As(err, &mbe) {
 			http.Error(w, fmt.Sprintf("cluster: replica stream for %q exceeds %d byte limit", name, mbe.Limit), http.StatusRequestEntityTooLarge)

@@ -322,8 +322,10 @@ func (rt *Router) replicate(name, owner string, targets []string) {
 	}
 }
 
-// waitReady polls the owner until the instance is ready (true) or reaches a
-// state that never will be (false).
+// waitReady polls the owner until the instance can be exported (true) or
+// reaches a state that never will be (false). "evicted" counts as ready:
+// the owner's export handler waits on the registry, which rehydrates a
+// spilled instance, and a failed export only skips that target.
 func (rt *Router) waitReady(ctx context.Context, owner, name string) bool {
 	for {
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, owner+"/matrices/"+name, nil)
@@ -343,7 +345,7 @@ func (rt *Router) waitReady(ctx context.Context, owner, name string) bool {
 			return false
 		}
 		switch inf.State {
-		case "ready":
+		case "ready", "evicted":
 			return true
 		case "failed", "closed":
 			return false

@@ -5,7 +5,9 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"h2ds/internal/kernel"
 	"h2ds/internal/mat"
+	"h2ds/internal/pointset"
 )
 
 // blockKey identifies a stored coupling or nearfield block by its node-id
@@ -16,9 +18,9 @@ type blockKey struct{ I, J int }
 // BlockStore is the paper's coupling-block container (§III-A): a sparse
 // integer index ("the value of the element at (i,j) providing the linear
 // index into a vector of dense matrices") plus the dense block slab. The
-// matrix-free Apply interface means callers are oblivious to whether blocks
-// were stored at construction (normal mode) or are absent (on-the-fly mode
-// bypasses the store entirely).
+// workspace's block-apply helpers (blockVec, blockBatch) make callers
+// oblivious to whether a block was stored at construction (normal and
+// hybrid modes) or is evaluated on the fly.
 //
 // The store has two representations. During the build phase it is a
 // map[blockKey] index over individually-allocated blocks — cheap to insert
@@ -31,7 +33,7 @@ type blockKey struct{ I, J int }
 // order; the map and the scattered build-phase blocks are released.
 //
 // Concurrency: Put is safe for concurrent use during parallel construction,
-// and all read methods (Get, Apply, ApplyBatch, Len, Bytes, MaxBlockBytes)
+// and all read methods (Get, the block appliers, Len, Bytes, MaxBlockBytes)
 // take a read lock, so concurrent Put+Get during the build phase is safe.
 // Once the store is complete, Freeze switches reads to the lock-free compact
 // fast path; Put after Freeze panics.
@@ -285,99 +287,62 @@ func (s *BlockStore) Get(i, j int) *mat.Dense {
 	return s.blocks[k]
 }
 
-// Apply accumulates g += B_{i,j} q. In triangular mode the (j, i) block is
-// applied transposed when i > j; in directed mode only exact keys hit. It
-// reports whether a block was found.
-func (s *BlockStore) Apply(g []float64, i, j int, q []float64) bool {
-	if s.directed || i <= j {
-		b := s.Get(i, j)
-		if b == nil {
+// applyVec accumulates one stored block product into g and reports whether
+// the block was found: g += B_{i,j} q, or g += B_{j,i}ᵀ q on the transpose.
+// otfOrder selects the summation order of the fused on-the-fly kernels
+// (the hybrid store, which must be indistinguishable from on-the-fly
+// evaluation) instead of the plain stored-block order (Normal mode).
+//
+// The needed block is B_{a,b} with (a, b) = (i, j), or (j, i) on the
+// transpose. A store holding (a, b) itself applies it forward (transposed
+// on the transpose). A triangular store keeps only a <= b, so for a > b it
+// applies the mirrored payload (b, a), which equals B_{a,b}ᵀ element for
+// element: with MulTVecAdd in plain order, with MulTVecAddDot (the column
+// walk with the on-the-fly dot grouping) in on-the-fly order, and with
+// MulVecAddSeq (MulTVecAdd's sequential accumulation) on an on-the-fly-order
+// transpose. A plain-order triangular transpose is the forward product,
+// since B_{j,i}ᵀ = B_{i,j}.
+func (s *BlockStore) applyVec(g []float64, i, j int, q []float64, transpose, otfOrder bool) bool {
+	if transpose && !s.directed && !otfOrder {
+		transpose = false
+	}
+	a, b := i, j
+	if transpose {
+		a, b = j, i
+	}
+	if s.directed || a <= b {
+		blk := s.Get(a, b)
+		if blk == nil {
 			return false
 		}
-		mat.MulVecAdd(g, b, q)
+		if transpose {
+			mat.MulTVecAdd(g, blk, q)
+		} else {
+			mat.MulVecAdd(g, blk, q)
+		}
 		return true
 	}
-	b := s.Get(j, i)
-	if b == nil {
+	blk := s.Get(b, a)
+	if blk == nil {
 		return false
 	}
-	mat.MulTVecAdd(g, b, q)
+	switch {
+	case transpose:
+		mat.MulVecAddSeq(g, blk, q)
+	case otfOrder:
+		mat.MulTVecAddDot(g, blk, q)
+	default:
+		mat.MulTVecAdd(g, blk, q)
+	}
 	return true
 }
 
-// ApplyBatch accumulates g += B_{i,j} q for a block of right-hand sides
-// (q is rank_j x k, g is rank_i x k), with the same triangular-transpose
-// convention as Apply. It reports whether a block was found.
-func (s *BlockStore) ApplyBatch(g *mat.Dense, i, j int, q *mat.Dense) bool {
-	if s.directed || i <= j {
-		b := s.Get(i, j)
-		if b == nil {
-			return false
-		}
-		mat.MulAddTo(g, b, q)
-		return true
-	}
-	b := s.Get(j, i)
-	if b == nil {
-		return false
-	}
-	mat.MulTAddTo(g, b, q)
-	return true
-}
-
-// applyOTFOrder accumulates g += B_{i,j} q using the summation order of the
-// on-the-fly path, which always evaluates the (i, j) orientation and applies
-// it forward with dot-grouped row products. For a stored (i, j) block that is
-// plain MulVecAdd; for a triangular-transpose hit the stored (j, i) block is
-// B_{i,j}ᵀ element-for-element (symmetric kernel), so MulTVecAddDot — a
-// column walk with the same dot grouping — reproduces the on-the-fly result
-// bitwise. It reports whether a block was found.
-func (s *BlockStore) applyOTFOrder(g []float64, i, j int, q []float64) bool {
-	if s.directed || i <= j {
-		b := s.Get(i, j)
-		if b == nil {
-			return false
-		}
-		mat.MulVecAdd(g, b, q)
-		return true
-	}
-	b := s.Get(j, i)
-	if b == nil {
-		return false
-	}
-	mat.MulTVecAddDot(g, b, q)
-	return true
-}
-
-// applyTransposeOTFOrder accumulates g += B_{j,i}ᵀ q in the on-the-fly
-// transpose order, which evaluates the (j, i) orientation and applies it with
-// MulTVecAdd's sequential, zero-skipping accumulation. A stored (j, i) block
-// gets exactly that; a triangular hit on (i, j) (= B_{j,i}ᵀ for symmetric
-// kernels) is applied forward with the matching sequential order
-// (MulVecAddSeq). It reports whether a block was found.
-func (s *BlockStore) applyTransposeOTFOrder(g []float64, i, j int, q []float64) bool {
-	if s.directed || j <= i {
-		b := s.Get(j, i)
-		if b == nil {
-			return false
-		}
-		mat.MulTVecAdd(g, b, q)
-		return true
-	}
-	b := s.Get(i, j)
-	if b == nil {
-		return false
-	}
-	mat.MulVecAddSeq(g, b, q)
-	return true
-}
-
-// applyBatchOTFOrder is the multi-RHS analogue of applyOTFOrder: the
-// on-the-fly batch path evaluates the (i, j) orientation and runs MulAddTo
-// (per-element dot-grouped column strides), so triangular-transpose hits use
-// MulTAddToDot to preserve that order over the stored (j, i) payload. It
-// reports whether a block was found.
-func (s *BlockStore) applyBatchOTFOrder(g *mat.Dense, i, j int, q *mat.Dense) bool {
+// applyBatch accumulates g += B_{i,j} q for a block of right-hand sides
+// (q is rank_j x k, g is rank_i x k) and reports whether the block was
+// found. A triangular-transpose hit applies the stored (j, i) block with
+// MulTAddTo, or in on-the-fly order with MulTAddToDot (per-element
+// dot-grouped column strides, as the fused batch kernel).
+func (s *BlockStore) applyBatch(g *mat.Dense, i, j int, q *mat.Dense, otfOrder bool) bool {
 	if s.directed || i <= j {
 		b := s.Get(i, j)
 		if b == nil {
@@ -390,8 +355,81 @@ func (s *BlockStore) applyBatchOTFOrder(g *mat.Dense, i, j int, q *mat.Dense) bo
 	if b == nil {
 		return false
 	}
-	mat.MulTAddToDot(g, b, q)
+	if otfOrder {
+		mat.MulTAddToDot(g, b, q)
+	} else {
+		mat.MulTAddTo(g, b, q)
+	}
 	return true
+}
+
+// store returns the coupling store, or for near the nearfield store.
+func (ws *Workspace) store(near bool) *BlockStore {
+	if near {
+		return ws.m.near
+	}
+	return ws.m.coup
+}
+
+// blockPoints returns the kernel geometry of the (i, j) coupling block
+// (skeleton points, out side's skeleton of i, in side's skeleton of j) or,
+// for near, of the (i, j) nearfield block (the two leaves' points).
+func (ws *Workspace) blockPoints(near bool, i, j int) (x *pointset.Points, ri []int, y *pointset.Points, rj []int) {
+	m := ws.m
+	if near {
+		return m.Tree.Points, m.leafRange(i), m.Tree.Points, m.leafRange(j)
+	}
+	return m.skelPts[i], ws.out.skel[i], m.skelPts[j], ws.in.skel[j]
+}
+
+// blockVec is the vector block-apply helper behind the coupling and leaf
+// kernels: out += B in for the (i, j) coupling block, or for near the
+// nearfield block, with B = K(x[ri], y[rj]) (see blockPoints), or
+// out += K(y[rj], x[ri])ᵀ in on the transpose. Normal mode applies the
+// stored block; Hybrid applies it in on-the-fly order when stored and
+// evaluates it otherwise; OnTheFly always evaluates the fused kernel. Hits,
+// misses and evaluation time land on worker w's counter line.
+func (ws *Workspace) blockVec(w int, near bool, out []float64, i, j int, in []float64) {
+	switch ws.m.Cfg.Mode {
+	case Normal:
+		ws.store(near).applyVec(out, i, j, in, ws.transpose, false)
+		return
+	case Hybrid:
+		if ws.store(near).applyVec(out, i, j, in, ws.transpose, true) {
+			ws.ctr[w*ctrStride+ctrHit]++
+			return
+		}
+		ws.ctr[w*ctrStride+ctrMiss]++
+	}
+	x, ri, y, rj := ws.blockPoints(near, i, j)
+	t := nowNS()
+	if ws.transpose {
+		kernel.BlockTVecAdd(out, ws.m.Kern, y, rj, x, ri, in)
+	} else {
+		kernel.BlockVecAdd(out, ws.m.Kern, x, ri, y, rj, in)
+	}
+	ws.ctr[w*ctrStride+ctrOtfNS] += nowNS() - t
+}
+
+// blockBatch is blockVec for a block of right-hand sides (forward only).
+// The fused kernel evaluates one tile row at a time into worker w's scratch
+// panel.
+func (ws *Workspace) blockBatch(w int, near bool, out *mat.Dense, i, j int, in *mat.Dense) {
+	switch ws.m.Cfg.Mode {
+	case Normal:
+		ws.store(near).applyBatch(out, i, j, in, false)
+		return
+	case Hybrid:
+		if ws.store(near).applyBatch(out, i, j, in, true) {
+			ws.ctr[w*ctrStride+ctrHit]++
+			return
+		}
+		ws.ctr[w*ctrStride+ctrMiss]++
+	}
+	x, ri, y, rj := ws.blockPoints(near, i, j)
+	t := nowNS()
+	kernel.BlockMulAdd(out, ws.m.Kern, x, ri, y, rj, in, ws.scratch[w])
+	ws.ctr[w*ctrStride+ctrOtfNS] += nowNS() - t
 }
 
 // Len returns the number of stored blocks.

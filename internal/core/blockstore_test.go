@@ -41,7 +41,7 @@ func TestBlockStoreApplyDirectAndTransposed(t *testing.T) {
 	s.Put(1, 5, b)
 	q := []float64{1, -1, 2}
 	g := make([]float64, 2)
-	if !s.Apply(g, 1, 5, q) {
+	if !s.applyVec(g, 1, 5, q, false, false) {
 		t.Fatal("apply missed stored block")
 	}
 	if g[0] != 1*1-2+3*2 || g[1] != 4-5+6*2 {
@@ -50,7 +50,7 @@ func TestBlockStoreApplyDirectAndTransposed(t *testing.T) {
 	// Transposed: B_{5,1} = Bᵀ.
 	q2 := []float64{1, 1}
 	g2 := make([]float64, 3)
-	if !s.Apply(g2, 5, 1, q2) {
+	if !s.applyVec(g2, 5, 1, q2, false, false) {
 		t.Fatal("transposed apply missed")
 	}
 	want := []float64{5, 7, 9}
@@ -61,7 +61,7 @@ func TestBlockStoreApplyDirectAndTransposed(t *testing.T) {
 	}
 	// Missing block reports false and leaves g untouched.
 	g3 := []float64{7}
-	if s.Apply(g3, 9, 9, []float64{1}) {
+	if s.applyVec(g3, 9, 9, []float64{1}, false, false) {
 		t.Fatal("apply on missing block must return false")
 	}
 	if g3[0] != 7 {
@@ -120,7 +120,7 @@ func TestBlockStoreConcurrentPutGet(t *testing.T) {
 					t.Errorf("block (%d,%d) has wrong payload %g", i, i+1, b.Data[0])
 					return
 				}
-				s.Apply(g, i, i+1, []float64{1})
+				s.applyVec(g, i, i+1, []float64{1}, false, false)
 				_ = s.Len()
 				_ = s.Bytes()
 				_ = s.MaxBlockBytes()
@@ -154,7 +154,7 @@ func TestBlockStoreApplyBatch(t *testing.T) {
 	s.Put(1, 5, b)
 	q := mat.NewDenseData(3, 2, []float64{1, 0, -1, 1, 2, -2})
 	g := mat.NewDense(2, 2)
-	if !s.ApplyBatch(g, 1, 5, q) {
+	if !s.applyBatch(g, 1, 5, q, false) {
 		t.Fatal("batch apply missed stored block")
 	}
 	want := mat.Mul(b, q)
@@ -166,7 +166,7 @@ func TestBlockStoreApplyBatch(t *testing.T) {
 	// Transposed direction.
 	q2 := mat.NewDenseData(2, 2, []float64{1, -1, 1, 2})
 	g2 := mat.NewDense(3, 2)
-	if !s.ApplyBatch(g2, 5, 1, q2) {
+	if !s.applyBatch(g2, 5, 1, q2, false) {
 		t.Fatal("transposed batch apply missed")
 	}
 	wantT := mat.Mul(b.T(), q2)
@@ -175,7 +175,7 @@ func TestBlockStoreApplyBatch(t *testing.T) {
 			t.Fatalf("transposed batch apply wrong: %v want %v", g2.Data, wantT.Data)
 		}
 	}
-	if s.ApplyBatch(mat.NewDense(1, 2), 9, 9, mat.NewDense(1, 2)) {
+	if s.applyBatch(mat.NewDense(1, 2), 9, 9, mat.NewDense(1, 2), false) {
 		t.Fatal("batch apply on missing block must return false")
 	}
 }

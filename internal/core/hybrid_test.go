@@ -34,30 +34,6 @@ func (m *Matrix) storedBytesForTest() int64 {
 	return total
 }
 
-// TestFusedOTFMatchesSeedBitwise pins the fused on-the-fly sweeps (vector,
-// transpose, batch) against the seed assemble-then-multiply path on the same
-// matrix, bitwise, for a symmetric and an unsymmetric kernel.
-func TestFusedOTFMatchesSeedBitwise(t *testing.T) {
-	pts := pointset.Cube(3000, 3, 91)
-	b := randVec(3000, 92)
-	B := mat.NewDenseData(3000, 3, randVec(9000, 93))
-	kernels := []kernel.Pairwise{kernel.Coulomb{}, kernel.Gaussian{}, drift3()}
-	for _, k := range kernels {
-		m, err := Build(pts, k, Config{Kind: DataDriven, Mode: OnTheFly, Tol: 1e-6, LeafSize: 60})
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.seedOTF = true
-		wantY := m.Apply(b)
-		wantT := m.ApplyTranspose(b)
-		wantB := m.ApplyBatch(B)
-		m.seedOTF = false
-		bitsEqualVec(t, k.Name()+"/apply", m.Apply(b), wantY)
-		bitsEqualVec(t, k.Name()+"/transpose", m.ApplyTranspose(b), wantT)
-		bitsEqualVec(t, k.Name()+"/batch", m.ApplyBatch(B).Data, wantB.Data)
-	}
-}
-
 // TestHybridMatchesOTFBitwise pins hybrid mode at 0%, 50%, and 100% of the
 // full block footprint against the pure on-the-fly path: the order-preserving
 // store appliers must make stored and fused results indistinguishable.
@@ -65,7 +41,7 @@ func TestHybridMatchesOTFBitwise(t *testing.T) {
 	pts := pointset.Cube(3000, 3, 95)
 	b := randVec(3000, 96)
 	B := mat.NewDenseData(3000, 3, randVec(9000, 97))
-	kernels := []kernel.Pairwise{kernel.Coulomb{}, drift3()}
+	kernels := []kernel.Pairwise{kernel.Coulomb{}, kernel.Gaussian{}, drift3()}
 	for _, k := range kernels {
 		otf, err := Build(pts, k, Config{Kind: DataDriven, Mode: OnTheFly, Tol: 1e-6, LeafSize: 60})
 		if err != nil {

@@ -72,11 +72,6 @@ type Matrix struct {
 	// and deserialization (nil otherwise); parFor runs on it.
 	buildPool *par.Pool
 
-	// seedOTF forces the on-the-fly sweeps down the seed
-	// assemble-then-multiply path instead of the fused primitives. It
-	// exists only for the bitwise-equivalence tests.
-	seedOTF bool
-
 	// sched is the lazily built barrier-free apply task graph (see
 	// schedule.go); it depends only on the immutable tree topology, so one
 	// graph serves every workspace and apply variant.

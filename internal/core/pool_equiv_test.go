@@ -10,25 +10,13 @@ import (
 	"h2ds/internal/pointset"
 )
 
-// seedPaths temporarily reverts m to the seed hot path — map-backed frozen
-// block stores — and returns a workspace whose pool has been released, so
-// sweeps run on the fork-join runtime. The returned restore func reinstates
-// the compacted stores.
-func seedPaths(t *testing.T, m *Matrix) (*Workspace, func()) {
-	t.Helper()
-	coup, near := m.coup, m.near
-	m.coup, m.near = coup.uncompacted(), near.uncompacted()
-	ws := m.NewWorkspace()
-	ws.Close() // nil pool: forWorker falls back to par.ForWorker
-	return ws, func() { m.coup, m.near = coup, near }
-}
-
-// TestPooledCompactedMatchesSeedBitwise checks the full modernized hot path
-// — persistent worker pool plus CSR-compacted block stores — against the
-// seed configuration (fork-join runtime, map-backed frozen stores) for
-// bitwise-identical results on the apply, transpose-apply, and batched
-// paths, for a symmetric kernel (shared bases, triangular stores) and an
-// unsymmetric one (separate bases, directed stores).
+// TestPooledCompactedMatchesSeedBitwise checks the full hot path —
+// scheduled sweeps on a persistent worker pool over CSR-compacted block
+// stores — against the seed read path (map-backed frozen stores) run in
+// serial level order, for bitwise-identical results on the apply,
+// transpose-apply, and batched paths, for a symmetric kernel (shared bases,
+// triangular stores) and an unsymmetric one (separate bases, directed
+// stores).
 func TestPooledCompactedMatchesSeedBitwise(t *testing.T) {
 	pts := pointset.Cube(2000, 3, 301)
 	b := randVec(2000, 302)
@@ -58,14 +46,10 @@ func TestPooledCompactedMatchesSeedBitwise(t *testing.T) {
 			YNew := mat.NewDense(0, 0)
 			m.ApplyBatchToWith(wsNew, YNew, BNew)
 
-			wsSeed, restore := seedPaths(t, m)
-			defer restore()
-			ySeed := make([]float64, m.N)
-			ytSeed := make([]float64, m.N)
-			m.ApplyToWith(wsSeed, ySeed, b)
-			m.ApplyTransposeToWith(wsSeed, ytSeed, b)
-			YSeed := mat.NewDense(0, 0)
-			m.ApplyBatchToWith(wsSeed, YSeed, BNew)
+			coup, near := m.coup, m.near
+			m.coup, m.near = coup.uncompacted(), near.uncompacted()
+			defer func() { m.coup, m.near = coup, near }()
+			ySeed, ytSeed, YSeed := schedRefApply(m, b, BNew)
 
 			for i := range yNew {
 				if yNew[i] != ySeed[i] {
@@ -165,7 +149,7 @@ func TestSerializeRoundTripCompacted(t *testing.T) {
 }
 
 // TestWorkspaceCloseFallback checks a closed workspace keeps producing
-// bitwise-identical results on the fork-join fallback.
+// bitwise-identical results, its scheduler draining on the caller.
 func TestWorkspaceCloseFallback(t *testing.T) {
 	pts := pointset.Cube(900, 3, 307)
 	m, err := Build(pts, kernel.Coulomb{}, Config{Kind: DataDriven, Mode: Normal, Tol: 1e-5, Workers: 3, LeafSize: 50})

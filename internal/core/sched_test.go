@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"sync"
 	"testing"
 
@@ -12,7 +11,7 @@ import (
 
 // TestTaskGraphInvariants checks the structural properties the scheduler's
 // deadlock-freedom argument rests on: one task per (node, stage) slot, edge
-// endpoints in range, dependency counts consistent with the edge list, and a
+// endpoints in range, dependency counts consistent with the edge list, a
 // non-empty initial frontier.
 func TestTaskGraphInvariants(t *testing.T) {
 	for _, tc := range []struct {
@@ -62,27 +61,69 @@ func TestTaskGraphInvariants(t *testing.T) {
 	}
 }
 
-// schedRefApply computes the level-synchronous reference results (apply,
-// transpose apply, batch apply) on a closed-pool workspace — the seed
-// fork-join path the scheduler must match bitwise.
-func schedRefApply(t *testing.T, m *Matrix, b []float64, B *mat.Dense) (y, yt []float64, Y *mat.Dense) {
-	t.Helper()
+// levelOrder runs the four kernels of k serially in the level-synchronous
+// order of Algorithm 2: upward level by level from the leaves, coupling
+// over every node, downward level by level from the root, then the leaves.
+// It is the reference the scheduler must match bitwise at every worker
+// count.
+func levelOrder(ws *Workspace, k sweep) {
+	t := ws.m.Tree
+	for l := t.Depth() - 1; l >= 0; l-- {
+		for _, id := range t.Levels[l] {
+			k.up(0, id)
+		}
+	}
+	for id := range t.Nodes {
+		k.coup(0, id)
+	}
+	for l := 0; l < t.Depth(); l++ {
+		for _, id := range t.Levels[l] {
+			k.down(0, id)
+		}
+	}
+	for i := range t.Leaves {
+		k.leaf(0, i)
+	}
+	ws.flushCounters()
+}
+
+// levelOrderApply is the level-order reference for ApplyTo
+// (ApplyTransposeTo with transpose).
+func levelOrderApply(m *Matrix, b []float64, transpose bool) []float64 {
 	ws := m.NewWorkspace()
-	ws.Close() // fork-join level-synchronous fallback
-	y = make([]float64, m.N)
-	yt = make([]float64, m.N)
-	Y = mat.NewDense(0, 0)
-	m.ApplyToWith(ws, y, b)
-	m.ApplyTransposeToWith(ws, yt, b)
-	m.ApplyBatchToWith(ws, Y, B)
-	return y, yt, Y
+	defer ws.Close()
+	m.Tree.PermuteVec(ws.bp, b)
+	ws.bindVec(m, ws.bp, ws.yp, transpose)
+	levelOrder(ws, ws.vec)
+	ws.unbind()
+	y := make([]float64, m.N)
+	m.Tree.UnpermuteVec(y, ws.yp)
+	return y
+}
+
+// levelOrderApplyBatch is the level-order reference for ApplyBatchTo.
+func levelOrderApplyBatch(m *Matrix, B *mat.Dense) *mat.Dense {
+	ws := m.NewWorkspace()
+	defer ws.Close()
+	ws.bindBatch(m, B)
+	levelOrder(ws, ws.batch)
+	ws.unbind()
+	Y := mat.NewDense(0, 0)
+	ws.unpermuteBatch(Y)
+	return Y
+}
+
+// schedRefApply computes the level-order reference results (apply,
+// transpose apply, batch apply).
+func schedRefApply(m *Matrix, b []float64, B *mat.Dense) (y, yt []float64, Y *mat.Dense) {
+	return levelOrderApply(m, b, false), levelOrderApply(m, b, true), levelOrderApplyBatch(m, B)
 }
 
 // TestScheduledMatchesSeedEdgeShapes runs the barrier-free scheduler over
 // degenerate and adversarial tree shapes — a single-leaf tree (root only),
 // a depth-1 tree, and a tree whose leaf level is far wider than the worker
 // count — at worker counts 1/2/3/7, in Normal and OnTheFly modes, and
-// demands bitwise equality with the level-synchronous seed path for the
+// demands bitwise equality with the serial level-order reference for the
 // apply, transpose, and batched variants.
 func TestScheduledMatchesSeedEdgeShapes(t *testing.T) {
 	shapes := []struct {
@@ -109,14 +150,11 @@ func TestScheduledMatchesSeedEdgeShapes(t *testing.T) {
 						B.Set(i, j, b[(i+j*11)%m.N])
 					}
 				}
-				yRef, ytRef, YRef := schedRefApply(t, m, b, B)
+				yRef, ytRef, YRef := schedRefApply(m, b, B)
 
 				for _, w := range []int{1, 2, 3, 7} {
 					m.Cfg.Workers = w
 					ws := m.NewWorkspace()
-					if w > 1 && !ws.useSched() {
-						t.Fatalf("w=%d: scheduler not selected", w)
-					}
 					y := make([]float64, m.N)
 					yt := make([]float64, m.N)
 					Y := mat.NewDense(0, 0)
@@ -156,9 +194,9 @@ func TestScheduledMatchesSeedUnsymmetric(t *testing.T) {
 	b := randVec(m.N, 405)
 	B := mat.NewDense(m.N, 2)
 	copy(B.Data[:m.N], b)
-	yRef, ytRef, YRef := schedRefApply(t, m, b, B)
+	yRef, ytRef, YRef := schedRefApply(m, b, B)
 
-	for _, w := range []int{2, 3, 7} {
+	for _, w := range []int{1, 2, 3, 7} {
 		m.Cfg.Workers = w
 		ws := m.NewWorkspace()
 		y := make([]float64, m.N)
@@ -177,56 +215,6 @@ func TestScheduledMatchesSeedUnsymmetric(t *testing.T) {
 			if Y.Data[i] != YRef.Data[i] {
 				t.Fatalf("w=%d unsymmetric batch differs at flat %d", w, i)
 			}
-		}
-	}
-}
-
-// TestFastMathWithinTolerance checks the opt-in FMA accumulation: an
-// on-the-fly apply under Config.FastMath must agree with the default
-// (bitwise-pinned) path to rounding accuracy across all three apply variants.
-func TestFastMathWithinTolerance(t *testing.T) {
-	pts := pointset.Cube(1200, 3, 408)
-	m, err := Build(pts, kernel.Coulomb{},
-		Config{Kind: DataDriven, Mode: OnTheFly, Tol: 1e-5, LeafSize: 40, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := randVec(m.N, 409)
-	B := mat.NewDense(m.N, 2)
-	copy(B.Data[:m.N], b)
-	copy(B.Data[m.N:], b)
-	y, yt := make([]float64, m.N), make([]float64, m.N)
-	Y := mat.NewDense(0, 0)
-	m.ApplyTo(y, b)
-	m.ApplyTransposeTo(yt, b)
-	m.ApplyBatchTo(Y, B)
-
-	m.Cfg.FastMath = true
-	yF, ytF := make([]float64, m.N), make([]float64, m.N)
-	YF := mat.NewDense(0, 0)
-	m.ApplyTo(yF, b)
-	m.ApplyTransposeTo(ytF, b)
-	m.ApplyBatchTo(YF, B)
-	m.Cfg.FastMath = false
-
-	scale := 0.0
-	for _, v := range y {
-		if a := math.Abs(v); a > scale {
-			scale = a
-		}
-	}
-	const tol = 1e-12
-	for i := range y {
-		if math.Abs(y[i]-yF[i]) > tol*scale {
-			t.Fatalf("FastMath apply diverged at %d: %g vs %g", i, y[i], yF[i])
-		}
-		if math.Abs(yt[i]-ytF[i]) > tol*scale {
-			t.Fatalf("FastMath transpose diverged at %d: %g vs %g", i, yt[i], ytF[i])
-		}
-	}
-	for i := range Y.Data {
-		if math.Abs(Y.Data[i]-YF.Data[i]) > tol*scale {
-			t.Fatalf("FastMath batch diverged at flat %d: %g vs %g", i, Y.Data[i], YF.Data[i])
 		}
 	}
 }

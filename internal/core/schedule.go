@@ -7,12 +7,12 @@ import (
 	"h2ds/internal/tree"
 )
 
-// Barrier-free sweep scheduling.
+// Barrier-free sweep scheduling: the one driver of every product.
 //
-// The seed apply path runs Algorithm 2 as five level-synchronous sweeps:
-// every tree level is a fork/barrier on the worker pool, so workers idle at
-// each barrier and starve near the root where levels hold fewer nodes than
-// workers. The scheduler here replaces the barriers with a dependency-driven
+// Algorithm 2 reads as five level-synchronous sweeps, but run that way every
+// tree level is a fork/barrier on the worker pool, so workers idle at each
+// barrier and starve near the root where levels hold fewer nodes than
+// workers. The scheduler replaces the barriers with a dependency-driven
 // task graph: one task per (node, stage), released the moment its inputs are
 // final. Upward tasks release their parent as soon as the last child lands,
 // coupling tasks fire as soon as their interaction partners' upward partials
@@ -22,12 +22,13 @@ import (
 //
 // Bitwise contract: every output slot (a node's q segment, g segment, or a
 // leaf's y range) is written by exactly one task, and each task's internal
-// arithmetic is the unchanged per-node kernel of the seed sweeps. The graph
-// edges reproduce the seed ordering wherever two tasks touch the same slot
+// arithmetic is a fixed per-node kernel. The graph edges reproduce the
+// level-synchronous ordering wherever two tasks touch the same slot
 // (coupling zero+accumulate before the parent's downward add, downward add
-// before the leaf expansion reads), so the result is bitwise-identical to
-// the level-synchronous path at every worker count — there is no merge step
-// to make deterministic because no slot ever has two writers.
+// before the leaf expansion reads), so the result is bitwise-identical to a
+// serial level-order run of the same kernels at every worker count — there
+// is no merge step to make deterministic because no slot ever has two
+// writers. The test suites keep that level-order run as their reference.
 //
 // Task id layout for a tree with nNodes nodes (total = 3*nNodes tasks):
 //
@@ -48,16 +49,17 @@ import (
 //	coup(l)  -> leaf(l)              leaf reads g_l after coupling
 //	down(p)  -> leaf(l)              ... and after the parent's add
 //
-// The same graph serves the forward, transpose, and batched applies: the
-// stages swap which generator they read (U/R vs V/W) but touch the same
-// slots in the same node topology.
+// The same graph serves the forward, transpose, batched and sharded
+// products: they swap which generator side the stages read (U/R vs V/W) or
+// replace stages with no-ops, but touch the same slots in the same node
+// topology.
 type taskGraph struct {
 	nNodes  int
 	total   int32
 	initCnt []int32 // initial dependency count per task id
 	depOff  []int32 // CSR offsets into depList per task id
 	depList []int32 // dependent task ids
-	ready0  []int32 // zero-dependency tasks in deterministic seed order
+	ready0  []int32 // zero-dependency tasks in deterministic order
 	leafIdx []int32 // node id -> index into Tree.Leaves, -1 for internal
 }
 
@@ -130,6 +132,7 @@ func buildTaskGraph(t *tree.Tree) *taskGraph {
 			g.ready0 = append(g.ready0, coup(id))
 		}
 	}
+
 	return g
 }
 
@@ -204,8 +207,8 @@ func (ws *Workspace) runSched(w int) {
 	}
 }
 
-// execTask dispatches one task to the current apply variant's per-node
-// kernel and charges its wall time to the worker's per-stage counter line.
+// execTask dispatches one task to the current sweep's per-node kernel and
+// charges its wall time to the worker's per-stage counter line.
 func (ws *Workspace) execTask(w int, t int32) {
 	g := ws.sched.g
 	nN := int32(g.nNodes)
@@ -213,38 +216,38 @@ func (ws *Workspace) execTask(w int, t int32) {
 	base := w * ctrStride
 	switch {
 	case t < nN:
-		ws.schedUp(w, int(t))
+		ws.cur.up(w, int(t))
 		ws.ctr[base+ctrUpNS] += nowNS() - t0
 	case t < 2*nN:
-		ws.schedCoup(w, int(t-nN))
+		ws.cur.coup(w, int(t-nN))
 		ws.ctr[base+ctrCoupNS] += nowNS() - t0
 	default:
 		id := int(t - 2*nN)
 		if k := g.leafIdx[id]; k >= 0 {
-			ws.schedLeaf(w, int(k))
+			ws.cur.leaf(w, int(k))
 			ws.ctr[base+ctrLeafNS] += nowNS() - t0
 		} else {
-			ws.schedDown(w, id)
+			ws.cur.down(w, id)
 			ws.ctr[base+ctrDownNS] += nowNS() - t0
 		}
 	}
 }
 
-// useSched reports whether this apply should run on the dependency-driven
-// scheduler: it needs the persistent pool (the fork-join fallback is the
-// seed reference path the equivalence suites pin against) and more than one
-// worker (a single worker has no barrier idle time to reclaim).
-func (ws *Workspace) useSched() bool {
-	return ws.pool != nil && ws.workers > 1
-}
-
-// runScheduled executes one full apply (all five sweeps) as a single
-// barrier-free pool phase using the previously assigned sched* kernels.
-// useSched guarantees a live pool, so the drain runs via par.Pool.Run: one
-// runSched loop per worker slot, each with a distinct per-worker counter and
-// scratch line.
-func (ws *Workspace) runScheduled() {
+// runScheduled executes one full product (all five sweeps) with the kernels
+// of k as a single barrier-free phase: one runSched loop per pool worker
+// slot, each with a distinct per-worker counter and scratch line. With one
+// worker the pool runs its single slot on the caller, so the apply is a
+// serial drain of the ready ring; a closed workspace (nil pool) drains the
+// ring on the caller directly. The per-worker counters are then flushed
+// and the run is counted as one apply.
+func (ws *Workspace) runScheduled(k sweep) {
+	ws.cur = k
 	ws.sched.reset(ws.m.schedGraph())
-	ws.pool.Run(ws.schedRunFn)
+	if ws.pool == nil {
+		ws.runSched(0)
+	} else {
+		ws.pool.Run(ws.schedRunFn)
+	}
+	ws.flushCounters()
 	ws.m.sweeps.applies.Add(1)
 }

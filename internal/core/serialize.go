@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"os"
 
 	"h2ds/internal/interp"
 	"h2ds/internal/kernel"
@@ -64,11 +65,13 @@ func (c *crcWriter) Write(p []byte) (int, error) {
 type crcReader struct {
 	r   io.Reader
 	crc uint32
+	n   int64 // bytes delivered so far
 }
 
 func (c *crcReader) Read(p []byte) (int, error) {
 	n, err := c.r.Read(p)
 	c.crc = crc32.Update(c.crc, crc32.IEEETable, p[:n])
+	c.n += int64(n)
 	return n, err
 }
 
@@ -132,12 +135,39 @@ type serialReader struct {
 	br  *bufio.Reader
 	crc *crcReader
 	err error
+	// size bounds the stream's bytes from the start of the read when the
+	// source can tell without reading (see streamLen), -1 otherwise.
+	size int64
 }
 
 func newSerialReader(r io.Reader) *serialReader {
 	br := bufio.NewReader(r)
 	cr := &crcReader{r: br}
-	return &serialReader{r: cr, br: br, crc: cr}
+	return &serialReader{r: cr, br: br, crc: cr, size: streamLen(r)}
+}
+
+// streamLen returns an upper bound on the bytes r has left when r can tell
+// without reading — an in-memory buffer, a regular file, or a
+// length-limited reader (an HTTP body of known Content-Length) — and -1
+// otherwise.
+func streamLen(r io.Reader) int64 {
+	switch v := r.(type) {
+	case interface{ Len() int }:
+		return int64(v.Len())
+	case *io.LimitedReader:
+		return v.N
+	case *os.File:
+		fi, err := v.Stat()
+		if err != nil || !fi.Mode().IsRegular() {
+			return -1
+		}
+		pos, err := v.Seek(0, io.SeekCurrent)
+		if err != nil {
+			return -1
+		}
+		return fi.Size() - pos
+	}
+	return -1
 }
 
 // verifyFooter consumes the version-4 integrity footer and compares it with
@@ -176,6 +206,12 @@ func (s *serialReader) readI64() int {
 // maxSliceLen guards against corrupt headers allocating absurd amounts.
 const maxSliceLen = 1 << 33
 
+// readChunk is the most elements a reader of a stream of unknown length
+// allocates ahead of the bytes that back them: longer slices grow as their
+// data arrives (see room), so a corrupt or hostile length prefix costs at
+// most one chunk before the stream runs dry.
+const readChunk = 1 << 14
+
 func (s *serialReader) checkLen(n int) bool {
 	if s.err != nil {
 		return false
@@ -187,15 +223,63 @@ func (s *serialReader) checkLen(n int) bool {
 	return true
 }
 
+// initCap returns the capacity to allocate up front for a slice of declared
+// length n whose elements take at least size bytes each in the stream. When
+// the stream's length is known, a slice the remaining bytes cannot back is
+// rejected and any other is allocated once, whole. Otherwise allocation
+// starts at one chunk and grows as the data arrives (see room).
+func (s *serialReader) initCap(n, size int) int {
+	if s.size < 0 {
+		return min(n, readChunk)
+	}
+	if left := s.size - s.crc.n; int64(n)*int64(size) > left {
+		s.err = fmt.Errorf("core: truncated stream (%d elements of %d bytes declared, %d bytes left)", n, size, left)
+		return 0
+	}
+	return n
+}
+
+// room returns v with spare capacity for at least one more element, for a
+// slice whose declared length is n. Capacity doubles but never passes n, so
+// an honest stream of unknown length peaks at twice the final slice while
+// growing and ends with exactly n.
+func room[T any](v []T, n int) []T {
+	if len(v) < cap(v) {
+		return v
+	}
+	nv := make([]T, len(v), min(n, max(2*cap(v), readChunk)))
+	copy(nv, v)
+	return nv
+}
+
+// readChunked reads a slice of declared length n (already checked), each
+// element encoded in size bytes, chunk by chunk, fill decoding each chunk
+// from the stream.
+func readChunked[T any](s *serialReader, n, size int, fill func([]T)) []T {
+	c := s.initCap(n, size)
+	if s.err != nil {
+		return nil
+	}
+	v := make([]T, 0, c)
+	for len(v) < n && s.err == nil {
+		v = room(v, n)
+		c := min(n-len(v), cap(v)-len(v), readChunk)
+		fill(v[len(v) : len(v)+c])
+		v = v[:len(v)+c]
+	}
+	return v
+}
+
 func (s *serialReader) readString() string {
 	n := s.readI64()
 	if !s.checkLen(n) {
 		return ""
 	}
-	buf := make([]byte, n)
-	if s.err == nil {
-		_, s.err = io.ReadFull(s.r, buf)
-	}
+	buf := readChunked(s, n, 1, func(b []byte) {
+		if s.err == nil {
+			_, s.err = io.ReadFull(s.r, b)
+		}
+	})
 	return string(buf)
 }
 
@@ -204,11 +288,11 @@ func (s *serialReader) readIntSlice() []int {
 	if !s.checkLen(n) {
 		return nil
 	}
-	v := make([]int, n)
-	for i := range v {
-		v[i] = s.readI64()
-	}
-	return v
+	return readChunked(s, n, 8, func(v []int) {
+		for i := range v {
+			v[i] = s.readI64()
+		}
+	})
 }
 
 func (s *serialReader) readF64Slice() []float64 {
@@ -216,11 +300,7 @@ func (s *serialReader) readF64Slice() []float64 {
 	if !s.checkLen(n) {
 		return nil
 	}
-	v := make([]float64, n)
-	if n > 0 {
-		s.read(v)
-	}
-	return v
+	return readChunked(s, n, 8, func(v []float64) { s.read(v) })
 }
 
 func (s *serialReader) readDense() *mat.Dense {
@@ -278,20 +358,26 @@ func readBlockStore(s *serialReader) *BlockStore {
 	if !s.checkLen(nRows) {
 		return nil
 	}
-	bs.rowPtr = make([]int32, nRows)
-	for i := range bs.rowPtr {
-		bs.rowPtr[i] = int32(s.readI64())
-	}
+	bs.rowPtr = readChunked(s, nRows, 8, func(v []int32) {
+		for i := range v {
+			v[i] = int32(s.readI64())
+		}
+	})
 	nBlocks := s.readI64()
 	if !s.checkLen(nBlocks) {
 		return nil
 	}
-	bs.colIdx = make([]int32, nBlocks)
-	bs.hdr = make([]mat.Dense, nBlocks)
+	// Each block's column and shape take 24 bytes.
+	c := s.initCap(nBlocks, 24)
+	if s.err != nil {
+		return nil
+	}
+	bs.colIdx = make([]int32, 0, c)
+	bs.hdr = make([]mat.Dense, 0, c)
 	var need int64
 	var maxBlk int64
 	for k := 0; k < nBlocks; k++ {
-		bs.colIdx[k] = int32(s.readI64())
+		col := int32(s.readI64())
 		rows, cols := s.readI64(), s.readI64()
 		if s.err != nil {
 			return nil
@@ -300,7 +386,8 @@ func readBlockStore(s *serialReader) *BlockStore {
 			s.err = fmt.Errorf("core: corrupt stored block %dx%d", rows, cols)
 			return nil
 		}
-		bs.hdr[k] = mat.Dense{Rows: rows, Cols: cols}
+		bs.colIdx = append(room(bs.colIdx, nBlocks), col)
+		bs.hdr = append(room(bs.hdr, nBlocks), mat.Dense{Rows: rows, Cols: cols})
 		need += int64(rows) * int64(cols)
 		if bb := int64(rows) * int64(cols) * 8; bb > maxBlk {
 			maxBlk = bb
@@ -542,8 +629,15 @@ func readBody(s *serialReader, k kernel.Pairwise, version uint32) (*Matrix, erro
 		}
 		t.InvPerm[orig] = kk
 	}
-	t.Nodes = make([]tree.Node, nNodes)
+	// A node takes at least 73 bytes: four ints, the leaf flag and five
+	// slice lengths.
+	c := s.initCap(nNodes, 73)
+	if s.err != nil {
+		return nil, s.err
+	}
+	t.Nodes = make([]tree.Node, 0, c)
 	for i := 0; i < nNodes; i++ {
+		t.Nodes = append(room(t.Nodes, nNodes), tree.Node{})
 		nd := &t.Nodes[i]
 		nd.ID = i
 		nd.Parent = s.readI64()
@@ -558,6 +652,10 @@ func readBody(s *serialReader, k kernel.Pairwise, version uint32) (*Matrix, erro
 		nd.Box.Max = s.readF64Slice()
 		if s.err != nil {
 			return nil, s.err
+		}
+		// Parents precede their children, so a node's level is at most its id.
+		if nd.Level < 0 || nd.Level > i {
+			return nil, fmt.Errorf("core: corrupt node %d level %d", i, nd.Level)
 		}
 		for len(t.Levels) <= nd.Level {
 			t.Levels = append(t.Levels, nil)

@@ -1,7 +1,11 @@
 package core
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
+	"io"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -253,5 +257,112 @@ func TestSerializeCorruptPermutation(t *testing.T) {
 	}
 	if _, err := Read(&buf, kernel.Coulomb{}); err == nil {
 		t.Fatal("corrupt permutation accepted")
+	}
+}
+
+// TestReadHugeLengthPrefixBoundedAlloc feeds truncated streams whose length
+// prefixes declare huge string, float and int slices. Each must fail, and
+// the reader may allocate only what the bytes it received justify, not the
+// declared length.
+func TestReadHugeLengthPrefixBoundedAlloc(t *testing.T) {
+	m, err := Build(pointset.Cube(300, 3, 98), kernel.Coulomb{}, Config{Tol: 1e-4, LeafSize: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := m.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	full := buf.Bytes()
+	le := binary.LittleEndian
+	// The coordinate slice's length prefix follows N and Dim, and the
+	// permutation's follows the coordinates.
+	var pat [24]byte
+	le.PutUint64(pat[0:], uint64(m.N))
+	le.PutUint64(pat[8:], uint64(m.Dim))
+	le.PutUint64(pat[16:], uint64(m.N*m.Dim))
+	coordsLen := bytes.Index(full, pat[:]) + 16
+	if coordsLen < 16 {
+		t.Fatal("coordinate length prefix not found")
+	}
+	permLen := coordsLen + 8 + 8*m.N*m.Dim
+	if got := le.Uint64(full[permLen:]); got != uint64(m.N) {
+		t.Fatalf("permutation length prefix reads %d want %d", got, m.N)
+	}
+	huge := func(at int, n uint64) []byte {
+		out := append([]byte(nil), full[:at+8]...)
+		le.PutUint64(out[at:], n)
+		return append(out, 1, 2, 3, 4, 5, 6, 7, 8)
+	}
+	magic := make([]byte, 8)
+	le.PutUint64(magic, 1<<30)
+	for _, tc := range []struct {
+		name   string
+		stream []byte
+	}{
+		{"string", magic},
+		{"float64s", huge(coordsLen, 1<<32)},
+		{"ints", huge(permLen, 1<<32)},
+	} {
+		// A bytes.Reader tells its length; the wrapper hides it, so the
+		// reader must grow in chunks instead.
+		for _, src := range []struct {
+			name string
+			r    io.Reader
+		}{
+			{"sized", bytes.NewReader(tc.stream)},
+			{"unsized", struct{ io.Reader }{bytes.NewReader(tc.stream)}},
+		} {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			_, err := ReadAny(src.r)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatalf("%s/%s: truncated stream accepted", tc.name, src.name)
+			}
+			if d := after.TotalAlloc - before.TotalAlloc; d > 16<<20 {
+				t.Fatalf("%s/%s: reading %d bytes allocated %d bytes", tc.name, src.name, len(tc.stream), d)
+			}
+		}
+	}
+}
+
+// TestReadSizedStreamAllocatesOnce checks that a slice read from a stream
+// of known length is allocated once, whole, while the same bytes from a
+// source of unknown length grow in chunks to at most twice the slice. Both
+// also allocate one chunk-sized decode buffer per chunk (binary.Read), in
+// all as much again as the slice.
+func TestReadSizedStreamAllocatesOnce(t *testing.T) {
+	const n = 1 << 20
+	var buf bytes.Buffer
+	w := &serialWriter{w: bufio.NewWriter(&buf)}
+	w.writeF64Slice(make([]float64, n))
+	if w.err == nil {
+		w.err = w.w.Flush()
+	}
+	if w.err != nil {
+		t.Fatal(w.err)
+	}
+	for _, tc := range []struct {
+		name  string
+		r     io.Reader
+		limit float64 // allocation bound in units of the slice's 8n bytes
+	}{
+		{"sized", bytes.NewReader(buf.Bytes()), 2.05},
+		{"unsized", struct{ io.Reader }{bytes.NewReader(buf.Bytes())}, 3.05},
+	} {
+		s := newSerialReader(tc.r)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		v := s.readF64Slice()
+		runtime.ReadMemStats(&after)
+		if s.err != nil || len(v) != n || cap(v) != n {
+			t.Fatalf("%s: read len %d cap %d err %v", tc.name, len(v), cap(v), s.err)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; float64(d) > tc.limit*8*n {
+			t.Fatalf("%s: reading %d floats allocated %d bytes", tc.name, n, d)
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"h2ds/internal/mat"
-	"h2ds/internal/par"
 )
 
 // ShardPlan partitions one operator's tree at a subtree cut so the five-sweep
@@ -16,6 +15,12 @@ import (
 // and the (nshards, cut level) parameters, so every participant derives an
 // identical plan from its own replica of the matrix — the wire protocol only
 // carries the two integers, never the node sets.
+//
+// Both halves run on the scheduler like every other product. The scatter
+// runs the upward and coupling kernels with no-op downward and leaf
+// kernels, the coupling masked to the shard's node set; the gather runs the
+// full product with the coupling of each node that has a received partial
+// replaced by a copy of it.
 //
 // Bitwise contract: every g_i is computed by exactly one party using the same
 // per-node kernel and the same interaction-list order as the single-node
@@ -30,10 +35,9 @@ type ShardPlan struct {
 	// Roots[s] lists shard s's cut nodes, ascending by point range.
 	Roots [][]int
 	// Nodes[s] lists every node in shard s's subtrees, ascending by id.
+	// The nodes in no shard, the strict ancestors of the cut, belong to
+	// the coordinator.
 	Nodes [][]int
-	// Coord lists the coordinator-owned nodes (strict ancestors of the
-	// cut), ascending by id.
-	Coord []int
 }
 
 // AutoCutLevel picks the shallowest level whose subtree cut is wide enough to
@@ -103,17 +107,6 @@ func (m *Matrix) PlanShards(nshards, cutLevel int) (*ShardPlan, error) {
 		p.Nodes = append(p.Nodes, nodes)
 	}
 
-	sharded := make([]bool, len(m.Tree.Nodes))
-	for _, nodes := range p.Nodes {
-		for _, id := range nodes {
-			sharded[id] = true
-		}
-	}
-	for id := range m.Tree.Nodes {
-		if !sharded[id] {
-			p.Coord = append(p.Coord, id)
-		}
-	}
 	return p, nil
 }
 
@@ -123,13 +116,58 @@ func (m *Matrix) PlanShards(nshards, cutLevel int) (*ShardPlan, error) {
 func (m *Matrix) PartialLen(nodes []int, transpose bool) int {
 	total := 0
 	for _, id := range nodes {
-		if transpose {
-			total += m.colRank(id)
-		} else {
-			total += m.ranks[id]
-		}
+		total += m.gRank(id, transpose)
 	}
 	return total
+}
+
+// gRank is node id's g-side rank: the row rank, or the column rank on the
+// transpose.
+func (m *Matrix) gRank(id int, transpose bool) int {
+	if transpose {
+		return m.colRank(id)
+	}
+	return m.ranks[id]
+}
+
+// scatter returns the scatter half's kernels: k's upward and coupling
+// kernels and no-op downward and leaf kernels.
+func scatter(k sweep) sweep { return sweep{k.up, k.coup, noop, noop} }
+
+func noop(_, _ int) {}
+
+// scatterOnly restricts the coupling kernel of the next run to nodes.
+func (ws *Workspace) scatterOnly(nodes []int) {
+	ws.only = make([]bool, len(ws.m.Tree.Nodes))
+	for _, id := range nodes {
+		ws.only[id] = true
+	}
+}
+
+// gatherParts validates the shard partials for k right-hand sides and
+// splits them per node: the coupling kernel copies parts[id] into g_id
+// instead of computing it. A nil shard partial leaves its nodes nil, so the
+// coordinator recomputes them locally.
+func (m *Matrix) gatherParts(p *ShardPlan, parts [][]float64, k int, transpose bool) ([][]float64, error) {
+	if len(parts) != len(p.Nodes) {
+		return nil, fmt.Errorf("core: ApplyGather got %d partials want %d", len(parts), len(p.Nodes))
+	}
+	byNode := make([][]float64, len(m.Tree.Nodes))
+	for s, part := range parts {
+		if part == nil {
+			continue
+		}
+		if want := m.PartialLen(p.Nodes[s], transpose) * k; len(part) != want {
+			return nil, fmt.Errorf("core: shard %d partial length %d want %d", s, len(part), want)
+		}
+		off := 0
+		for _, id := range p.Nodes[s] {
+			n := m.gRank(id, transpose) * k
+			byNode[id] = part[off : off+n]
+			off += n
+		}
+	}
+	return byNode, nil
 }
 
 // ApplyShard runs the scatter half of the distributed apply for shard s: the
@@ -146,110 +184,41 @@ func (m *Matrix) ApplyShard(p *ShardPlan, s int, b []float64, transpose bool) ([
 	ws := m.getWorkspace()
 	defer m.putWorkspace(ws)
 	m.Tree.PermuteVec(ws.bp, b)
-	return m.applyShardPermuted(ws, ws.bp, p.Nodes[s], transpose), nil
-}
-
-// applyShardPermuted computes the packed coupling partials for one node set.
-func (m *Matrix) applyShardPermuted(ws *Workspace, bp []float64, nodes []int, transpose bool) []float64 {
-	ws.check(m, par.Resolve(m.Cfg.Workers))
-	ws.curB = bp
-	upFn, coupSel := ws.upFn, ws.coupSelFn
-	if transpose {
-		ws.q, ws.qOff = ws.rowSlab, ws.rowOff
-		ws.g, ws.gOff = ws.colSlab, ws.colOff
-		upFn, coupSel = ws.upTFn, ws.coupTSelFn
-	} else {
-		ws.q, ws.qOff = ws.colSlab, ws.colOff
-		ws.g, ws.gOff = ws.rowSlab, ws.rowOff
-	}
-	for l := m.Tree.Depth() - 1; l >= 0; l-- {
-		ws.level = m.Tree.Levels[l]
-		ws.forWorker(len(ws.level), upFn)
-	}
-	ws.level = nodes
-	ws.forWorker(len(nodes), coupSel)
-	ws.flushCounters()
-
+	ws.bindVec(m, ws.bp, nil, transpose)
+	nodes := p.Nodes[s]
+	ws.scatterOnly(nodes)
+	ws.runScheduled(scatter(ws.vec))
 	out := make([]float64, 0, m.PartialLen(nodes, transpose))
 	for _, id := range nodes {
-		out = append(out, seg(ws.g, ws.gOff, id)...)
+		out = append(out, ws.out.seg(id)...)
 	}
-	ws.curB = nil
-	return out
+	ws.unbind()
+	return out, nil
 }
 
-// ApplyGather runs the gather half: its own upward sweep, the coupling sweep
-// for the coordinator-owned nodes, overlay of the shard partials (any nil
-// entry is recomputed locally — the coordinator's shard-failure fallback),
-// then the downward and leaf/nearfield sweeps. The result is bitwise-equal
-// to m.ApplyTo (or ApplyTransposeTo) on the same inputs.
+// ApplyGather runs the gather half: the full five-sweep product in which
+// the coupling results of shard nodes are copied from the received partials
+// instead of computed (any nil partial is recomputed locally — the
+// coordinator's shard-failure fallback). The result is bitwise-equal to
+// m.ApplyTo (or ApplyTransposeTo) on the same inputs.
 func (m *Matrix) ApplyGather(p *ShardPlan, b []float64, parts [][]float64, transpose bool) ([]float64, error) {
 	if len(b) != m.N {
 		return nil, fmt.Errorf("core: ApplyGather input length %d want %d", len(b), m.N)
 	}
-	if len(parts) != len(p.Nodes) {
-		return nil, fmt.Errorf("core: ApplyGather got %d partials want %d", len(parts), len(p.Nodes))
+	byNode, err := m.gatherParts(p, parts, 1, transpose)
+	if err != nil {
+		return nil, err
 	}
 	ws := m.getWorkspace()
 	defer m.putWorkspace(ws)
 	m.Tree.PermuteVec(ws.bp, b)
-	if err := m.applyGatherPermuted(ws, ws.yp, ws.bp, p, parts, transpose); err != nil {
-		return nil, err
-	}
+	ws.bindVec(m, ws.bp, ws.yp, transpose)
+	ws.parts = byNode
+	ws.runScheduled(ws.vec)
+	ws.unbind()
 	y := make([]float64, m.N)
 	m.Tree.UnpermuteVec(y, ws.yp)
 	return y, nil
-}
-
-func (m *Matrix) applyGatherPermuted(ws *Workspace, yp, bp []float64, p *ShardPlan, parts [][]float64, transpose bool) error {
-	ws.check(m, par.Resolve(m.Cfg.Workers))
-	ws.curB, ws.curY = bp, yp
-	upFn, coupSel, downFn, leafFn := ws.upFn, ws.coupSelFn, ws.downFn, ws.leafFn
-	if transpose {
-		ws.q, ws.qOff = ws.rowSlab, ws.rowOff
-		ws.g, ws.gOff = ws.colSlab, ws.colOff
-		upFn, coupSel, downFn, leafFn = ws.upTFn, ws.coupTSelFn, ws.downTFn, ws.leafTFn
-	} else {
-		ws.q, ws.qOff = ws.colSlab, ws.colOff
-		ws.g, ws.gOff = ws.rowSlab, ws.rowOff
-	}
-
-	t0 := nowNS()
-	for l := m.Tree.Depth() - 1; l >= 0; l-- {
-		ws.level = m.Tree.Levels[l]
-		ws.forWorker(len(ws.level), upFn)
-	}
-	t1 := nowNS()
-	ws.level = p.Coord
-	ws.forWorker(len(p.Coord), coupSel)
-	for s, part := range parts {
-		if part == nil {
-			ws.level = p.Nodes[s]
-			ws.forWorker(len(ws.level), coupSel)
-			continue
-		}
-		if want := m.PartialLen(p.Nodes[s], transpose); len(part) != want {
-			ws.curB, ws.curY = nil, nil
-			return fmt.Errorf("core: shard %d partial length %d want %d", s, len(part), want)
-		}
-		off := 0
-		for _, id := range p.Nodes[s] {
-			gi := seg(ws.g, ws.gOff, id)
-			copy(gi, part[off:off+len(gi)])
-			off += len(gi)
-		}
-	}
-	t2 := nowNS()
-	for l := 0; l < m.Tree.Depth(); l++ {
-		ws.level = m.Tree.Levels[l]
-		ws.forWorker(len(ws.level), downFn)
-	}
-	t3 := nowNS()
-	ws.forWorker(len(m.Tree.Leaves), leafFn)
-	m.sweeps.record(t0, t1, t2, t3, nowNS())
-	ws.flushCounters()
-	ws.curB, ws.curY = nil, nil
-	return nil
 }
 
 // ApplyBatchShard is the multi-RHS scatter half: packed per-node g panels
@@ -262,27 +231,17 @@ func (m *Matrix) ApplyBatchShard(p *ShardPlan, s int, B *mat.Dense) ([]float64, 
 	if B.Rows != m.N {
 		return nil, fmt.Errorf("core: ApplyBatchShard rows %d want %d", B.Rows, m.N)
 	}
-	k := B.Cols
 	ws := m.getWorkspace()
 	defer m.putWorkspace(ws)
-	ws.check(m, par.Resolve(m.Cfg.Workers))
-	ws.ensureBatch(k)
-	for row, orig := range m.Tree.Perm {
-		copy(ws.bpB.Row(row), B.Row(orig))
-	}
-	for l := m.Tree.Depth() - 1; l >= 0; l-- {
-		ws.level = m.Tree.Levels[l]
-		ws.forWorker(len(ws.level), ws.bUpFn)
-	}
+	ws.bindBatch(m, B)
 	nodes := p.Nodes[s]
-	ws.level = nodes
-	ws.forWorker(len(nodes), ws.bCoupSelFn)
-	ws.flushCounters()
-
-	out := make([]float64, 0, m.PartialLen(nodes, false)*k)
+	ws.scatterOnly(nodes)
+	ws.runScheduled(scatter(ws.batch))
+	out := make([]float64, 0, m.PartialLen(nodes, false)*B.Cols)
 	for _, id := range nodes {
-		out = append(out, ws.gB[id].Data...)
+		out = append(out, ws.out.nodeB[id].Data...)
 	}
+	ws.unbind()
 	return out, nil
 }
 
@@ -292,55 +251,16 @@ func (m *Matrix) ApplyBatchGather(p *ShardPlan, Y, B *mat.Dense, parts [][]float
 	if B.Rows != m.N {
 		return fmt.Errorf("core: ApplyBatchGather rows %d want %d", B.Rows, m.N)
 	}
-	if len(parts) != len(p.Nodes) {
-		return fmt.Errorf("core: ApplyBatchGather got %d partials want %d", len(parts), len(p.Nodes))
+	byNode, err := m.gatherParts(p, parts, B.Cols, false)
+	if err != nil {
+		return err
 	}
-	k := B.Cols
 	ws := m.getWorkspace()
 	defer m.putWorkspace(ws)
-	ws.check(m, par.Resolve(m.Cfg.Workers))
-	ws.ensureBatch(k)
-	for row, orig := range m.Tree.Perm {
-		copy(ws.bpB.Row(row), B.Row(orig))
-	}
-
-	t0 := nowNS()
-	for l := m.Tree.Depth() - 1; l >= 0; l-- {
-		ws.level = m.Tree.Levels[l]
-		ws.forWorker(len(ws.level), ws.bUpFn)
-	}
-	t1 := nowNS()
-	ws.level = p.Coord
-	ws.forWorker(len(p.Coord), ws.bCoupSelFn)
-	for s, part := range parts {
-		if part == nil {
-			ws.level = p.Nodes[s]
-			ws.forWorker(len(ws.level), ws.bCoupSelFn)
-			continue
-		}
-		if want := m.PartialLen(p.Nodes[s], false) * k; len(part) != want {
-			return fmt.Errorf("core: shard %d batch partial length %d want %d", s, len(part), want)
-		}
-		off := 0
-		for _, id := range p.Nodes[s] {
-			gi := ws.gB[id].Data
-			copy(gi, part[off:off+len(gi)])
-			off += len(gi)
-		}
-	}
-	t2 := nowNS()
-	for l := 0; l < m.Tree.Depth(); l++ {
-		ws.level = m.Tree.Levels[l]
-		ws.forWorker(len(ws.level), ws.bDownFn)
-	}
-	t3 := nowNS()
-	ws.forWorker(len(m.Tree.Leaves), ws.bLeafFn)
-	m.sweeps.record(t0, t1, t2, t3, nowNS())
-	ws.flushCounters()
-
-	Y.Reshape(m.N, k)
-	for row, orig := range m.Tree.Perm {
-		copy(Y.Row(orig), ws.ypB.Row(row))
-	}
+	ws.bindBatch(m, B)
+	ws.parts = byNode
+	ws.runScheduled(ws.batch)
+	ws.unbind()
+	ws.unpermuteBatch(Y)
 	return nil
 }

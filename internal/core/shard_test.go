@@ -9,9 +9,9 @@ import (
 )
 
 // TestShardPlanPartitionsTree checks the structural invariants every
-// participant relies on: the shard node sets plus the coordinator set
-// partition the tree, shard roots cover all points exactly once, and the
-// same parameters derive the same plan twice.
+// participant relies on: the shard node sets cover every node below the
+// cut once and no strict ancestor of it, shard roots cover all points
+// exactly once, and the same parameters derive the same plan twice.
 func TestShardPlanPartitionsTree(t *testing.T) {
 	pts := pointset.Cube(2000, 3, 90)
 	m, err := Build(pts, kernel.Coulomb{}, Config{Kind: DataDriven, Mode: Normal, Tol: 1e-5, LeafSize: 60})
@@ -32,12 +32,16 @@ func TestShardPlanPartitionsTree(t *testing.T) {
 				seen[id]++
 			}
 		}
-		for _, id := range p.Coord {
-			seen[id]++
-		}
+		// The shards cover every node once except the strict ancestors of
+		// the cut (internal nodes above the cut level), which none cover.
 		for id, c := range seen {
-			if c != 1 {
-				t.Fatalf("nshards=%d: node %d covered %d times", nshards, id, c)
+			nd := &m.Tree.Nodes[id]
+			want := 1
+			if !nd.IsLeaf && nd.Level < p.CutLevel {
+				want = 0
+			}
+			if c != want {
+				t.Fatalf("nshards=%d: node %d covered %d times want %d", nshards, id, c, want)
 			}
 		}
 		points := 0
@@ -69,16 +73,30 @@ func TestShardPlanPartitionsTree(t *testing.T) {
 // TestShardedApplyBitwiseEqual is the distributed-correctness cornerstone:
 // scatter/gather through ApplyShard + ApplyGather must reproduce the
 // single-node product BITWISE for symmetric and unsymmetric kernels, in
-// plain, transpose, and batch form, at several shard counts — including the
-// coordinator's local-recompute fallback for a missing shard.
+// plain, transpose, and batch form, at several shard counts, storage modes
+// and worker counts — including the coordinator's local-recompute fallback
+// for a missing shard.
 func TestShardedApplyBitwiseEqual(t *testing.T) {
 	pts := pointset.Cube(1800, 3, 91)
 	n := pts.Len()
 	b := randVec(n, 92)
 	kerns := []kernel.Pairwise{kernel.Coulomb{}, drift3()}
 	for _, k := range kerns {
-		for _, mode := range []MemoryMode{Normal, OnTheFly} {
-			m, err := Build(pts, k, Config{Kind: DataDriven, Mode: mode, Tol: 1e-6, LeafSize: 50, Workers: 2})
+		otf, err := Build(pts, k, Config{Kind: DataDriven, Mode: OnTheFly, Tol: 1e-6, LeafSize: 50})
+		if err != nil {
+			t.Fatal(err)
+		}
+		halfStore := otf.storedBytesForTest() / 2
+		for _, cfg := range []Config{
+			{Mode: Normal, Workers: 2},
+			{Mode: OnTheFly, Workers: 2},
+			{Mode: Hybrid, StorageBudget: halfStore, Workers: 2},
+			{Mode: Normal, Workers: 1},
+			{Mode: Hybrid, StorageBudget: halfStore, Workers: 3},
+		} {
+			mode := cfg.Mode
+			cfg.Kind, cfg.Tol, cfg.LeafSize = DataDriven, 1e-6, 50
+			m, err := Build(pts, k, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

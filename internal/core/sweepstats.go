@@ -35,20 +35,11 @@ type sweepTimers struct {
 	hybridMisses atomic.Int64
 }
 
-// record credits one apply given the five stage boundary timestamps.
-func (t *sweepTimers) record(t0, t1, t2, t3, t4 int64) {
-	t.applies.Add(1)
-	t.up.Add(t1 - t0)
-	t.coupling.Add(t2 - t1)
-	t.down.Add(t3 - t2)
-	t.leaf.Add(t4 - t3)
-}
-
-// recordStages credits per-stage durations measured task-by-task under the
-// barrier-free scheduler (cumulative across workers, so the four stage sums
-// are CPU time, consistent with the documented semantics under concurrency).
-// Each total lands with one atomic add per stage; the apply itself is
-// counted separately by the scheduled path.
+// recordStages credits per-stage durations measured task-by-task by the
+// scheduler (cumulative across workers, so the four stage sums are CPU
+// time, consistent with the documented semantics under concurrency). Each
+// total lands with one atomic add per stage; the apply itself is counted
+// separately by runScheduled.
 func (t *sweepTimers) recordStages(up, coupling, down, leaf int64) {
 	t.up.Add(up)
 	t.coupling.Add(coupling)

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"h2ds/internal/kernel"
 	"h2ds/internal/mat"
 	"h2ds/internal/par"
 )
@@ -14,7 +13,7 @@ import (
 // segments out of two flat slabs via prefix sums over the node ranks
 // (contiguous by construction, one cache-friendly block per level), keeps
 // the two N-length permutation buffers, and owns the per-worker scratch
-// tiles of the on-the-fly mode.
+// panels of the on-the-fly batch kernel.
 //
 // Concurrency contract: a Workspace may be used by ONE goroutine at a time.
 // Concurrent callers either create one workspace each (NewWorkspace) or use
@@ -22,159 +21,130 @@ import (
 // which draw from an internal sync.Pool — concurrent requests then cost at
 // most one workspace per in-flight call, reused across calls.
 //
-// The sweep kernels are bound to the workspace as method-value closures at
-// construction time; per-call parameters travel through workspace fields.
-// This keeps the steady-state matvec at zero allocations per operation: the
-// serial path runs inline, and the parallel sweeps run on the workspace's
-// persistent par.Pool — the same long-lived worker goroutines across all
-// five sweeps and across successive applies — instead of forking and
-// joining fresh goroutines per tree level.
+// Every product runs on the barrier-free scheduler (schedule.go) over the
+// workspace's persistent par.Pool. The per-node kernels are bound to the
+// workspace as method values at construction time and per-call parameters
+// travel through workspace fields, so the steady-state matvec performs zero
+// allocations per operation at any worker count.
 type Workspace struct {
 	m *Matrix
 
 	// pool is the workspace's persistent parallel runtime. Workspaces are
 	// checked out by one goroutine at a time (the pool's contract), so
-	// concurrent applies each drive their own pool. A nil pool falls back
-	// to the fork-join par.ForWorker — the seed runtime, kept for the
-	// equivalence tests.
-	pool    *par.Pool
-	workers int
+	// concurrent applies each drive their own pool. A closed workspace
+	// (nil pool) drains the scheduler serially on the caller.
+	pool *par.Pool
 
 	// Permutation buffers (length N).
 	bp, yp []float64
 
-	// Prefix sums over the row-side and column-side ranks, indexed by node
-	// id; node i's segment is slab[off[i]:off[i+1]]. For shared bases the
-	// two offset tables are the same slice; the slabs are always distinct
-	// because q and g live simultaneously.
-	rowOff, colOff   []int
-	rowSlab, colSlab []float64
+	// The two generator sides with their coefficient slabs. in and out
+	// point at them for the current apply: q is read from in's slab and g
+	// written to out's.
+	row, col side
+	in, out  *side
 
-	// Per-worker tile buffers for on-the-fly assembly (grown on demand when
-	// the configured worker count rises). The fused on-the-fly path only
-	// uses them as one-row panels in the batch sweeps; the seed path (and
-	// seedOTF test mode) reshapes them to full tiles.
+	// transpose selects B_{j,i}ᵀ instead of B_{i,j} in the block kernels.
+	transpose bool
+
+	// Per-worker scratch panels for the on-the-fly batch kernel (grown on
+	// demand when the configured worker count rises).
 	scratch []*mat.Dense
 
-	// ctr holds per-worker on-the-fly instrumentation, padded to ctrStride
-	// int64s per worker to keep workers off each other's cache lines:
-	// [w*ctrStride+ctrOtfNS] fused-evaluation nanoseconds,
-	// [.. +ctrHit] hybrid store hits, [.. +ctrMiss] hybrid misses. Flushed
-	// into the matrix's atomics once per apply.
+	// ctr holds per-worker instrumentation, padded to ctrStride int64s per
+	// worker to keep workers off each other's cache lines (layout below).
+	// Flushed into the matrix's atomics once per apply.
 	ctr []int64
 
-	// ---- per-call state consumed by the prebuilt sweep closures ----
+	// ---- per-call state consumed by the kernels ----
 	curB, curY []float64 // permuted input/output vectors
-	level      []int     // node ids of the level being swept
-	q, g       []float64 // slab aliases for the call's q/g roles
-	qOff, gOff []int     // matching offset tables
 
-	upFn, coupFn, downFn, leafFn     func(w, i int)
-	upTFn, coupTFn, downTFn, leafTFn func(w, i int)
+	// Sharded-apply coupling overrides (nil on a plain apply): a scatter
+	// computes g only for nodes with only[id] set; a gather copies the
+	// received partial parts[id] instead of computing it.
+	only  []bool
+	parts [][]float64
 
-	// ID-based method values for the barrier-free scheduler (the level sweep
-	// closures above route through ws.level; the scheduler addresses nodes by
-	// id). Prebuilt so selecting a variant per apply is a field copy, not a
-	// closure allocation.
-	upIDFn, downIDFn   func(w, i int)
-	upTIDFn, downTIDFn func(w, i int)
-	bUpIDFn, bDownIDFn func(w, i int)
+	// The vector and batch kernel sets and the set the scheduler is
+	// currently running.
+	vec, batch, cur sweep
 
-	// Scheduler state: the current apply variant's per-stage kernels, the
-	// worker loop method value, and the resettable task-queue state.
-	schedUp, schedCoup, schedDown, schedLeaf func(w, i int)
-	schedRunFn                               func(slot int)
-	sched                                    scheduler
-
-	// Coupling selectors for the sharded scatter/gather apply: identical
-	// per-node arithmetic to coupFn/coupTFn/bCoupFn, but indexed through
-	// ws.level so a sweep can cover an arbitrary node subset instead of all
-	// nodes. Restricting the set never changes a g_i that is computed, which
-	// is what keeps the distributed apply bitwise-equal to the single-node
-	// one.
-	coupSelFn, coupTSelFn, bCoupSelFn func(w, i int)
+	// Scheduler state: the worker loop method value and the resettable
+	// task-queue state.
+	schedRunFn func(slot int)
+	sched      scheduler
 
 	// ---- batch (multi-RHS) state ----
-	k                  int // current batch width
-	bpB, ypB           *mat.Dense
-	rowSlabB, colSlabB []float64
-	qB, gB             []*mat.Dense // per-node headers re-pointed into the slabs
-	viewIn, viewOut    []*mat.Dense // per-worker leaf-range views
+	k               int // current batch width
+	bpB, ypB        *mat.Dense
+	viewIn, viewOut []*mat.Dense // per-worker leaf-range views
+}
 
-	bUpFn, bCoupFn, bDownFn, bLeafFn func(w, i int)
+// side is one generator side of the representation: the row side (U, R,
+// row ranks and skeletons) or the column side (V, W, column ranks and
+// skeletons, aliasing the row side's generators when bases are shared),
+// plus the workspace's coefficient slabs for it. Apply and ApplyBatch read
+// q on the column side and write g on the row side; ApplyTranspose swaps
+// the pair, which is the whole difference between the two products.
+type side struct {
+	basis, trans []*mat.Dense
+	ranks        []int
+	skel         [][]int
+
+	// off holds prefix sums over ranks: node i's segment is
+	// slab[off[i]:off[i+1]], and its batch panel nodeB[i] points into
+	// slabB.
+	off   []int
+	slab  []float64
+	slabB []float64
+	nodeB []*mat.Dense
+}
+
+// seg returns node id's segment of the vector slab.
+func (s *side) seg(id int) []float64 { return s.slab[s.off[id]:s.off[id+1]] }
+
+// sweep is one apply variant's four per-node kernels. up, coup and down
+// take a node id; leaf takes an index into Tree.Leaves.
+type sweep struct{ up, coup, down, leaf func(w, i int) }
+
+// rankOffsets returns the prefix sums over ranks.
+func rankOffsets(ranks []int) []int {
+	off := make([]int, len(ranks)+1)
+	for i, r := range ranks {
+		off[i+1] = off[i] + r
+	}
+	return off
 }
 
 // NewWorkspace allocates a workspace sized for m's tree and ranks. Reuse it
 // across products from a single goroutine; for ad-hoc calls prefer ApplyTo,
 // which pools workspaces internally.
 func (m *Matrix) NewWorkspace() *Workspace {
-	nNodes := len(m.Tree.Nodes)
 	ws := &Workspace{m: m}
 	ws.bp = make([]float64, m.N)
 	ws.yp = make([]float64, m.N)
-	ws.rowOff = make([]int, nNodes+1)
-	for i := 0; i < nNodes; i++ {
-		ws.rowOff[i+1] = ws.rowOff[i] + m.ranks[i]
+	ws.row = side{basis: m.u, trans: m.trans, ranks: m.ranks, skel: m.skel}
+	ws.row.off = rankOffsets(m.ranks)
+	ws.col = ws.row
+	if !m.sharedBasis {
+		ws.col = side{basis: m.v, trans: m.wTrans, ranks: m.colRanks, skel: m.colSkel}
+		ws.col.off = rankOffsets(m.colRanks)
 	}
-	if m.sharedBasis {
-		ws.colOff = ws.rowOff
-	} else {
-		ws.colOff = make([]int, nNodes+1)
-		for i := 0; i < nNodes; i++ {
-			ws.colOff[i+1] = ws.colOff[i] + m.colRank(i)
-		}
-	}
-	ws.rowSlab = make([]float64, ws.rowOff[nNodes])
-	ws.colSlab = make([]float64, ws.colOff[nNodes])
-	ws.workers = par.Resolve(m.Cfg.Workers)
-	ws.pool = par.NewPool(ws.workers)
-	ws.growScratch(ws.workers)
+	ws.row.slab = make([]float64, ws.row.off[len(m.ranks)])
+	ws.col.slab = make([]float64, ws.col.off[len(m.ranks)])
+	workers := par.Resolve(m.Cfg.Workers)
+	ws.pool = par.NewPool(workers)
+	ws.growScratch(workers)
 
-	ws.upFn = ws.upLevel
-	ws.coupFn = ws.coupNode
-	ws.downFn = ws.downLevel
-	ws.leafFn = ws.leafNode
-	ws.upTFn = ws.upLevelT
-	ws.coupTFn = ws.coupNodeT
-	ws.downTFn = ws.downLevelT
-	ws.leafTFn = ws.leafNodeT
-	ws.bUpFn = ws.upLevelB
-	ws.bCoupFn = ws.coupNodeB
-	ws.bDownFn = ws.downLevelB
-	ws.bLeafFn = ws.leafNodeB
-	ws.coupSelFn = ws.coupNodeSel
-	ws.coupTSelFn = ws.coupNodeTSel
-	ws.bCoupSelFn = ws.coupNodeBSel
-	ws.upIDFn = ws.upNode
-	ws.downIDFn = ws.downNode
-	ws.upTIDFn = ws.upNodeT
-	ws.downTIDFn = ws.downNodeT
-	ws.bUpIDFn = ws.upNodeB
-	ws.bDownIDFn = ws.downNodeB
+	ws.vec = sweep{ws.upNode, ws.coupNode, ws.downNode, ws.leafNode}
+	ws.batch = sweep{ws.upNodeB, ws.coupNodeB, ws.downNodeB, ws.leafNodeB}
 	ws.schedRunFn = ws.runSched
 	return ws
 }
 
-// upLevel and friends route the level-synchronous sweeps (which index the
-// current ws.level slice) to the ID-based per-node kernels shared with the
-// barrier-free scheduler.
-func (ws *Workspace) upLevel(w, k int)    { ws.upNode(w, ws.level[k]) }
-func (ws *Workspace) downLevel(w, k int)  { ws.downNode(w, ws.level[k]) }
-func (ws *Workspace) upLevelT(w, k int)   { ws.upNodeT(w, ws.level[k]) }
-func (ws *Workspace) downLevelT(w, k int) { ws.downNodeT(w, ws.level[k]) }
-func (ws *Workspace) upLevelB(w, k int)   { ws.upNodeB(w, ws.level[k]) }
-func (ws *Workspace) downLevelB(w, k int) { ws.downNodeB(w, ws.level[k]) }
-
-// coupNodeSel and friends route a subset coupling sweep (node ids in
-// ws.level) to the full-sweep per-node kernels.
-func (ws *Workspace) coupNodeSel(w, k int)  { ws.coupNode(w, ws.level[k]) }
-func (ws *Workspace) coupNodeTSel(w, k int) { ws.coupNodeT(w, ws.level[k]) }
-func (ws *Workspace) coupNodeBSel(w, k int) { ws.coupNodeB(w, ws.level[k]) }
-
-// Per-worker counter layout within Workspace.ctr. The first three slots are
-// the on-the-fly instrumentation; the last four accumulate per-stage task
-// nanoseconds under the barrier-free scheduler (the level-synchronous path
-// times stages by wall clock instead and leaves them zero).
+// Per-worker counter layout within Workspace.ctr: on-the-fly evaluation
+// nanoseconds, hybrid store hits and misses, and per-stage task
+// nanoseconds.
 const (
 	ctrOtfNS  = 0
 	ctrHit    = 1
@@ -186,8 +156,8 @@ const (
 	ctrStride = 8 // one 64-byte cache line per worker
 )
 
-// growScratch ensures at least n per-worker tile buffers and counter lines
-// exist.
+// growScratch ensures at least n per-worker scratch panels and counter
+// lines exist.
 func (ws *Workspace) growScratch(n int) {
 	for len(ws.scratch) < n {
 		ws.scratch = append(ws.scratch, mat.NewDense(0, 0))
@@ -225,9 +195,7 @@ func (ws *Workspace) flushCounters() {
 	if miss != 0 {
 		ws.m.sweeps.hybridMisses.Add(miss)
 	}
-	if up|coup|down|leaf != 0 {
-		ws.m.sweeps.recordStages(up, coup, down, leaf)
-	}
+	ws.m.sweeps.recordStages(up, coup, down, leaf)
 }
 
 // check validates the workspace against the matrix it is about to serve and
@@ -237,7 +205,6 @@ func (ws *Workspace) check(m *Matrix, workers int) {
 	if ws.m != m {
 		panic("core: workspace used with a different Matrix than it was created for")
 	}
-	ws.workers = workers
 	if ws.pool != nil && ws.pool.Workers() != workers {
 		ws.pool.Close()
 		ws.pool = par.NewPool(workers)
@@ -245,21 +212,47 @@ func (ws *Workspace) check(m *Matrix, workers int) {
 	ws.growScratch(workers)
 }
 
-// forWorker runs one sweep phase on the workspace's persistent pool, or on
-// the fork-join runtime when the pool has been released (nil).
-func (ws *Workspace) forWorker(n int, fn func(w, i int)) {
-	if ws.pool != nil {
-		ws.pool.ForWorker(n, fn)
-		return
+// bind prepares ws for one product of m: it checks the workspace and
+// orients the sweeps, reading q on the column side and writing g on the
+// row side, or the reverse for the transpose.
+func (ws *Workspace) bind(m *Matrix, transpose bool) {
+	ws.check(m, par.Resolve(m.Cfg.Workers))
+	ws.transpose = transpose
+	ws.in, ws.out = &ws.col, &ws.row
+	if transpose {
+		ws.in, ws.out = &ws.row, &ws.col
 	}
-	par.ForWorker(ws.workers, n, fn)
+}
+
+// bindVec binds a vector product on permuted input bp and output yp (nil
+// for a scatter, which writes no output).
+func (ws *Workspace) bindVec(m *Matrix, bp, yp []float64, transpose bool) {
+	ws.bind(m, transpose)
+	ws.curB, ws.curY = bp, yp
+}
+
+// bindBatch binds a batch product: the batch buffers are shaped for B's
+// width and B's rows are permuted in.
+func (ws *Workspace) bindBatch(m *Matrix, B *mat.Dense) {
+	ws.bind(m, false)
+	ws.ensureBatch(B.Cols)
+	for row, orig := range m.Tree.Perm {
+		copy(ws.bpB.Row(row), B.Row(orig))
+	}
+}
+
+// unbind drops the per-call references so the workspace does not retain
+// the caller's vectors or shard partials.
+func (ws *Workspace) unbind() {
+	ws.curB, ws.curY = nil, nil
+	ws.only, ws.parts = nil, nil
 }
 
 // Close releases the workspace's persistent worker goroutines. It is safe
-// to keep using the workspace afterwards (sweeps fall back to the fork-join
-// runtime); unclosed workspaces release their goroutines via a finalizer
-// when garbage-collected, so Close is an optimization for deterministic
-// teardown, not a correctness requirement.
+// to keep using the workspace afterwards (the scheduler then drains on the
+// calling goroutine); unclosed workspaces release their goroutines via a
+// finalizer when garbage-collected, so Close is an optimization for
+// deterministic teardown, not a correctness requirement.
 func (ws *Workspace) Close() {
 	if ws.pool != nil {
 		ws.pool.Close()
@@ -278,7 +271,7 @@ func (ws *Workspace) BatchWidth() int { return ws.k }
 // separately (MemoryStats.ScratchPerWorker); batch slabs grow with the
 // batch width and are excluded.
 func (ws *Workspace) Bytes() int64 {
-	return int64(len(ws.bp)+len(ws.yp)+len(ws.rowSlab)+len(ws.colSlab)) * 8
+	return int64(len(ws.bp)+len(ws.yp)+len(ws.row.slab)+len(ws.col.slab)) * 8
 }
 
 // getWorkspace draws a workspace from the matrix's pool, creating one on
@@ -313,7 +306,7 @@ func (m *Matrix) ApplyToWith(ws *Workspace, y, b []float64) {
 		panic(fmt.Sprintf("core: apply length mismatch y=%d b=%d n=%d", len(y), len(b), m.N))
 	}
 	m.Tree.PermuteVec(ws.bp, b)
-	m.applyPermutedWith(ws, ws.yp, ws.bp)
+	m.applyPermutedWith(ws, ws.yp, ws.bp, false)
 	m.Tree.UnpermuteVec(y, ws.yp)
 }
 
@@ -324,81 +317,19 @@ func (m *Matrix) ApplyTransposeToWith(ws *Workspace, y, b []float64) {
 		panic(fmt.Sprintf("core: applyTranspose length mismatch y=%d b=%d n=%d", len(y), len(b), m.N))
 	}
 	m.Tree.PermuteVec(ws.bp, b)
-	m.applyTransposePermutedWith(ws, ws.yp, ws.bp)
+	m.applyPermutedWith(ws, ws.yp, ws.bp, true)
 	m.Tree.UnpermuteVec(y, ws.yp)
 }
 
 // applyPermutedWith runs the five sweeps of Algorithm 2 on permuted vectors
-// with all state drawn from ws. yp and bp must not alias (stage 5 reads
+// with all state drawn from ws; the transpose runs the same kernels with
+// the generator sides swapped. yp and bp must not alias (stage 5 reads
 // bp's nearfield neighbours while writing yp).
-func (m *Matrix) applyPermutedWith(ws *Workspace, yp, bp []float64) {
-	ws.check(m, par.Resolve(m.Cfg.Workers))
-	ws.curB, ws.curY = bp, yp
-	// Apply role assignment: q carries column-side coefficients, g row-side.
-	ws.q, ws.qOff = ws.colSlab, ws.colOff
-	ws.g, ws.gOff = ws.rowSlab, ws.rowOff
-
-	if ws.useSched() {
-		ws.schedUp, ws.schedCoup = ws.upIDFn, ws.coupFn
-		ws.schedDown, ws.schedLeaf = ws.downIDFn, ws.leafFn
-		ws.runScheduled()
-	} else {
-		t0 := nowNS()
-		for l := m.Tree.Depth() - 1; l >= 0; l-- {
-			ws.level = m.Tree.Levels[l]
-			ws.forWorker(len(ws.level), ws.upFn)
-		}
-		t1 := nowNS()
-		ws.forWorker(len(m.Tree.Nodes), ws.coupFn)
-		t2 := nowNS()
-		for l := 0; l < m.Tree.Depth(); l++ {
-			ws.level = m.Tree.Levels[l]
-			ws.forWorker(len(ws.level), ws.downFn)
-		}
-		t3 := nowNS()
-		ws.forWorker(len(m.Tree.Leaves), ws.leafFn)
-		m.sweeps.record(t0, t1, t2, t3, nowNS())
-	}
-	ws.flushCounters()
-	ws.curB, ws.curY = nil, nil
+func (m *Matrix) applyPermutedWith(ws *Workspace, yp, bp []float64, transpose bool) {
+	ws.bindVec(m, bp, yp, transpose)
+	ws.runScheduled(ws.vec)
+	ws.unbind()
 }
-
-// applyTransposePermutedWith is the transpose product with the q/g roles
-// exchanged: the upward sweep goes through U/R, couplings apply B_{j,i}ᵀ,
-// and the downward/leaf sweeps go through V/W.
-func (m *Matrix) applyTransposePermutedWith(ws *Workspace, yp, bp []float64) {
-	ws.check(m, par.Resolve(m.Cfg.Workers))
-	ws.curB, ws.curY = bp, yp
-	ws.q, ws.qOff = ws.rowSlab, ws.rowOff
-	ws.g, ws.gOff = ws.colSlab, ws.colOff
-
-	if ws.useSched() {
-		ws.schedUp, ws.schedCoup = ws.upTIDFn, ws.coupTFn
-		ws.schedDown, ws.schedLeaf = ws.downTIDFn, ws.leafTFn
-		ws.runScheduled()
-	} else {
-		t0 := nowNS()
-		for l := m.Tree.Depth() - 1; l >= 0; l-- {
-			ws.level = m.Tree.Levels[l]
-			ws.forWorker(len(ws.level), ws.upTFn)
-		}
-		t1 := nowNS()
-		ws.forWorker(len(m.Tree.Nodes), ws.coupTFn)
-		t2 := nowNS()
-		for l := 0; l < m.Tree.Depth(); l++ {
-			ws.level = m.Tree.Levels[l]
-			ws.forWorker(len(ws.level), ws.downTFn)
-		}
-		t3 := nowNS()
-		ws.forWorker(len(m.Tree.Leaves), ws.leafTFn)
-		m.sweeps.record(t0, t1, t2, t3, nowNS())
-	}
-	ws.flushCounters()
-	ws.curB, ws.curY = nil, nil
-}
-
-// seg returns node id's segment of the given slab.
-func seg(slab []float64, off []int, id int) []float64 { return slab[off[id]:off[id+1]] }
 
 // zero clears a segment in place.
 func zero(s []float64) {
@@ -407,90 +338,85 @@ func zero(s []float64) {
 	}
 }
 
-// upNode is stage 1+2 for Apply: leaves project their input slice through
-// the column basis; internal nodes combine children through the stacked
-// column transfer blocks.
+// coupFixed applies the sharded-apply overrides to node id's coupling
+// result g. It reports true when the coupling kernel must not compute g:
+// the node lies outside a scatter's node set, or a gather received its
+// partial, which is copied into g.
+func (ws *Workspace) coupFixed(id int, g []float64) bool {
+	if ws.only != nil && !ws.only[id] {
+		return true
+	}
+	if ws.parts != nil && ws.parts[id] != nil {
+		copy(g, ws.parts[id])
+		return true
+	}
+	return false
+}
+
+// upNode is stages 1+2: leaves project their input slice through the in
+// side's basis; internal nodes combine children through its stacked
+// transfer blocks.
 func (ws *Workspace) upNode(_, id int) {
-	m := ws.m
-	nd := &m.Tree.Nodes[id]
-	qi := seg(ws.q, ws.qOff, id)
+	in := ws.in
+	nd := &ws.m.Tree.Nodes[id]
+	qi := in.seg(id)
 	zero(qi)
 	if len(qi) == 0 {
 		return
 	}
 	if nd.IsLeaf {
-		mat.MulTVecAdd(qi, m.colBasis(id), ws.curB[nd.Start:nd.End])
+		mat.MulTVecAdd(qi, in.basis[id], ws.curB[nd.Start:nd.End])
 		return
 	}
 	off := 0
 	for _, c := range nd.Children {
-		rc := m.colRank(c)
+		rc := in.ranks[c]
 		if rc > 0 {
-			mat.MulTVecAddRange(qi, m.colTrans(id), off, off+rc, seg(ws.q, ws.qOff, c))
+			mat.MulTVecAddRange(qi, in.trans[id], off, off+rc, in.seg(c))
 		}
 		off += rc
 	}
 }
 
-// coupNode is stage 3 for Apply: g_i = Σ_{j ∈ IL(i)} B_{i,j} q_j, with
-// on-the-fly assembly into the worker's scratch tile when no blocks are
-// stored.
+// coupNode is stage 3: g_i = Σ_{j ∈ IL(i)} B_{i,j} q_j (B_{j,i}ᵀ q_j on the
+// transpose). The interaction lists are symmetric as sets, so i's own list
+// covers exactly the blocks that write into i either way.
 func (ws *Workspace) coupNode(w, id int) {
-	m := ws.m
-	gi := seg(ws.g, ws.gOff, id)
+	gi := ws.out.seg(id)
+	if ws.coupFixed(id, gi) {
+		return
+	}
 	zero(gi)
 	if len(gi) == 0 {
 		return
 	}
-	for _, j := range m.Tree.Nodes[id].Interaction {
-		if m.colRank(j) == 0 {
-			continue
+	for _, j := range ws.m.Tree.Nodes[id].Interaction {
+		if ws.in.ranks[j] > 0 {
+			ws.blockVec(w, false, gi, id, j, ws.in.seg(j))
 		}
-		qj := seg(ws.q, ws.qOff, j)
-		switch m.Cfg.Mode {
-		case Normal:
-			m.coup.Apply(gi, id, j, qj)
-			continue
-		case Hybrid:
-			if m.coup.applyOTFOrder(gi, id, j, qj) {
-				ws.ctr[w*ctrStride+ctrHit]++
-				continue
-			}
-			ws.ctr[w*ctrStride+ctrMiss]++
-		}
-		t := nowNS()
-		if m.seedOTF {
-			tile := kernel.Assemble(ws.scratch[w], m.Kern, m.skelPts[id], m.skel[id], m.skelPts[j], m.colSkeleton(j))
-			mat.MulVecAdd(gi, tile, qj)
-		} else if m.Cfg.FastMath {
-			kernel.BlockVecAddFMA(gi, m.Kern, m.skelPts[id], m.skel[id], m.skelPts[j], m.colSkeleton(j), qj)
-		} else {
-			kernel.BlockVecAdd(gi, m.Kern, m.skelPts[id], m.skel[id], m.skelPts[j], m.colSkeleton(j), qj)
-		}
-		ws.ctr[w*ctrStride+ctrOtfNS] += nowNS() - t
 	}
 }
 
-// downNode is stage 4 for Apply: g_c += R_c g_i, parents writing only their
-// own children's segments.
+// downNode is stage 4: g_c += R_c g_i through the out side's transfer
+// blocks, parents writing only their own children's segments.
 func (ws *Workspace) downNode(_, id int) {
-	m := ws.m
-	nd := &m.Tree.Nodes[id]
-	if nd.IsLeaf || m.ranks[id] == 0 {
+	out := ws.out
+	nd := &ws.m.Tree.Nodes[id]
+	if nd.IsLeaf || out.ranks[id] == 0 {
 		return
 	}
-	gi := seg(ws.g, ws.gOff, id)
+	gi := out.seg(id)
 	off := 0
 	for _, c := range nd.Children {
-		rc := m.ranks[c]
+		rc := out.ranks[c]
 		if rc > 0 {
-			mat.MulVecAddRange(seg(ws.g, ws.gOff, c), m.trans[id], off, off+rc, gi)
+			mat.MulVecAddRange(out.seg(c), out.trans[id], off, off+rc, gi)
 		}
 		off += rc
 	}
 }
 
-// leafNode is stage 5 for Apply: expand the farfield result through the
+// leafNode is stage 5: expand the farfield result through the out side's
 // leaf basis and add the dense nearfield interactions.
 func (ws *Workspace) leafNode(w, k int) {
 	m := ws.m
@@ -498,186 +424,26 @@ func (ws *Workspace) leafNode(w, k int) {
 	nd := &m.Tree.Nodes[id]
 	yi := ws.curY[nd.Start:nd.End]
 	zero(yi)
-	if m.ranks[id] > 0 {
-		mat.MulVecAdd(yi, m.u[id], seg(ws.g, ws.gOff, id))
+	if ws.out.ranks[id] > 0 {
+		mat.MulVecAdd(yi, ws.out.basis[id], ws.out.seg(id))
 	}
 	for _, j := range nd.Near {
 		nj := &m.Tree.Nodes[j]
-		bj := ws.curB[nj.Start:nj.End]
-		switch m.Cfg.Mode {
-		case Normal:
-			m.near.Apply(yi, id, j, bj)
-			continue
-		case Hybrid:
-			if m.near.applyOTFOrder(yi, id, j, bj) {
-				ws.ctr[w*ctrStride+ctrHit]++
-				continue
-			}
-			ws.ctr[w*ctrStride+ctrMiss]++
-		}
-		t := nowNS()
-		if m.seedOTF {
-			tile := kernel.Assemble(ws.scratch[w], m.Kern, m.Tree.Points, m.leafRange(id), m.Tree.Points, m.leafRange(j))
-			mat.MulVecAdd(yi, tile, bj)
-		} else if m.Cfg.FastMath {
-			kernel.BlockVecAddFMA(yi, m.Kern, m.Tree.Points, m.leafRange(id), m.Tree.Points, m.leafRange(j), bj)
-		} else {
-			kernel.BlockVecAdd(yi, m.Kern, m.Tree.Points, m.leafRange(id), m.Tree.Points, m.leafRange(j), bj)
-		}
-		ws.ctr[w*ctrStride+ctrOtfNS] += nowNS() - t
-	}
-}
-
-// upNodeT is the transpose upward sweep through the ROW generators (U, R).
-func (ws *Workspace) upNodeT(_, id int) {
-	m := ws.m
-	nd := &m.Tree.Nodes[id]
-	qi := seg(ws.q, ws.qOff, id)
-	zero(qi)
-	if len(qi) == 0 {
-		return
-	}
-	if nd.IsLeaf {
-		mat.MulTVecAdd(qi, m.u[id], ws.curB[nd.Start:nd.End])
-		return
-	}
-	off := 0
-	for _, c := range nd.Children {
-		rc := m.ranks[c]
-		if rc > 0 {
-			mat.MulTVecAddRange(qi, m.trans[id], off, off+rc, seg(ws.q, ws.qOff, c))
-		}
-		off += rc
-	}
-}
-
-// coupNodeT is the transpose coupling sweep: g_i = Σ_j B_{j,i}ᵀ q_j. The
-// interaction lists are symmetric as sets, so iterating i's own list covers
-// exactly the blocks whose transpose writes into i.
-func (ws *Workspace) coupNodeT(w, id int) {
-	m := ws.m
-	gi := seg(ws.g, ws.gOff, id)
-	zero(gi)
-	if len(gi) == 0 {
-		return
-	}
-	for _, j := range m.Tree.Nodes[id].Interaction {
-		if m.ranks[j] == 0 {
-			continue
-		}
-		qj := seg(ws.q, ws.qOff, j)
-		switch m.Cfg.Mode {
-		case Normal:
-			// g_i += B_{j,i}ᵀ q_j. In triangular (symmetric) storage,
-			// Apply(g, i, j, q) already computes B_{i,j} q = B_{j,i}ᵀ q.
-			// In directed storage we must transpose the stored (j, i)
-			// block explicitly.
-			if m.coup.directed {
-				if blk := m.coup.Get(j, id); blk != nil {
-					mat.MulTVecAdd(gi, blk, qj)
-				}
-			} else {
-				m.coup.Apply(gi, id, j, qj)
-			}
-			continue
-		case Hybrid:
-			if m.coup.applyTransposeOTFOrder(gi, id, j, qj) {
-				ws.ctr[w*ctrStride+ctrHit]++
-				continue
-			}
-			ws.ctr[w*ctrStride+ctrMiss]++
-		}
-		t := nowNS()
-		if m.seedOTF {
-			tile := kernel.Assemble(ws.scratch[w], m.Kern, m.skelPts[j], m.skel[j], m.skelPts[id], m.colSkeleton(id))
-			mat.MulTVecAdd(gi, tile, qj)
-		} else if m.Cfg.FastMath {
-			kernel.BlockTVecAddFMA(gi, m.Kern, m.skelPts[j], m.skel[j], m.skelPts[id], m.colSkeleton(id), qj)
-		} else {
-			kernel.BlockTVecAdd(gi, m.Kern, m.skelPts[j], m.skel[j], m.skelPts[id], m.colSkeleton(id), qj)
-		}
-		ws.ctr[w*ctrStride+ctrOtfNS] += nowNS() - t
-	}
-}
-
-// downNodeT is the transpose downward sweep through the COLUMN generators.
-func (ws *Workspace) downNodeT(_, id int) {
-	m := ws.m
-	nd := &m.Tree.Nodes[id]
-	if nd.IsLeaf || m.colRank(id) == 0 {
-		return
-	}
-	gi := seg(ws.g, ws.gOff, id)
-	off := 0
-	for _, c := range nd.Children {
-		rc := m.colRank(c)
-		if rc > 0 {
-			mat.MulVecAddRange(seg(ws.g, ws.gOff, c), m.colTrans(id), off, off+rc, gi)
-		}
-		off += rc
-	}
-}
-
-// leafNodeT is the transpose leaf sweep: y_i = V_i g_i + Σ_j K(X_j, X_i)ᵀ b_j.
-func (ws *Workspace) leafNodeT(w, k int) {
-	m := ws.m
-	id := m.Tree.Leaves[k]
-	nd := &m.Tree.Nodes[id]
-	yi := ws.curY[nd.Start:nd.End]
-	zero(yi)
-	if m.colRank(id) > 0 {
-		mat.MulVecAdd(yi, m.colBasis(id), seg(ws.g, ws.gOff, id))
-	}
-	for _, j := range nd.Near {
-		nj := &m.Tree.Nodes[j]
-		bj := ws.curB[nj.Start:nj.End]
-		switch m.Cfg.Mode {
-		case Normal:
-			if m.near.directed {
-				if blk := m.near.Get(j, id); blk != nil {
-					mat.MulTVecAdd(yi, blk, bj)
-				}
-			} else {
-				m.near.Apply(yi, id, j, bj)
-			}
-			continue
-		case Hybrid:
-			if m.near.applyTransposeOTFOrder(yi, id, j, bj) {
-				ws.ctr[w*ctrStride+ctrHit]++
-				continue
-			}
-			ws.ctr[w*ctrStride+ctrMiss]++
-		}
-		t := nowNS()
-		if m.seedOTF {
-			tile := kernel.Assemble(ws.scratch[w], m.Kern, m.Tree.Points, m.leafRange(j), m.Tree.Points, m.leafRange(id))
-			mat.MulTVecAdd(yi, tile, bj)
-		} else if m.Cfg.FastMath {
-			kernel.BlockTVecAddFMA(yi, m.Kern, m.Tree.Points, m.leafRange(j), m.Tree.Points, m.leafRange(id), bj)
-		} else {
-			kernel.BlockTVecAdd(yi, m.Kern, m.Tree.Points, m.leafRange(j), m.Tree.Points, m.leafRange(id), bj)
-		}
-		ws.ctr[w*ctrStride+ctrOtfNS] += nowNS() - t
+		ws.blockVec(w, true, yi, id, j, ws.curB[nj.Start:nj.End])
 	}
 }
 
 // ---- batched multi-RHS path ----
 
 // ensureBatch sizes the batch buffers for width k: the N-by-k permutation
-// buffers, one slab per rank side, and per-node matrix headers re-pointed
-// into the slabs. Everything is reused across calls; buffers only grow.
+// buffers, one slab per side, and per-node matrix headers re-pointed into
+// the slabs. Everything is reused across calls; buffers only grow.
 func (ws *Workspace) ensureBatch(k int) {
 	m := ws.m
 	nNodes := len(m.Tree.Nodes)
 	if ws.bpB == nil {
 		ws.bpB = mat.NewDense(0, 0)
 		ws.ypB = mat.NewDense(0, 0)
-		ws.qB = make([]*mat.Dense, nNodes)
-		ws.gB = make([]*mat.Dense, nNodes)
-		for i := 0; i < nNodes; i++ {
-			ws.qB[i] = &mat.Dense{}
-			ws.gB[i] = &mat.Dense{}
-		}
 	}
 	for len(ws.viewIn) < len(ws.scratch) {
 		ws.viewIn = append(ws.viewIn, &mat.Dense{})
@@ -685,19 +451,20 @@ func (ws *Workspace) ensureBatch(k int) {
 	}
 	ws.bpB.Reshape(m.N, k)
 	ws.ypB.Reshape(m.N, k)
-	if need := ws.rowOff[nNodes] * k; cap(ws.rowSlabB) < need {
-		ws.rowSlabB = make([]float64, need)
-	}
-	if need := ws.colOff[nNodes] * k; cap(ws.colSlabB) < need {
-		ws.colSlabB = make([]float64, need)
-	}
-	for id := 0; id < nNodes; id++ {
-		g := ws.gB[id]
-		g.Rows, g.Cols = ws.rowOff[id+1]-ws.rowOff[id], k
-		g.Data = ws.rowSlabB[ws.rowOff[id]*k : ws.rowOff[id+1]*k]
-		q := ws.qB[id]
-		q.Rows, q.Cols = ws.colOff[id+1]-ws.colOff[id], k
-		q.Data = ws.colSlabB[ws.colOff[id]*k : ws.colOff[id+1]*k]
+	for _, s := range []*side{&ws.row, &ws.col} {
+		if s.nodeB == nil {
+			s.nodeB = make([]*mat.Dense, nNodes)
+			for i := range s.nodeB {
+				s.nodeB[i] = &mat.Dense{}
+			}
+		}
+		if need := s.off[nNodes] * k; cap(s.slabB) < need {
+			s.slabB = make([]float64, need)
+		}
+		for id, p := range s.nodeB {
+			p.Rows, p.Cols = s.off[id+1]-s.off[id], k
+			p.Data = s.slabB[s.off[id]*k : s.off[id+1]*k]
+		}
 	}
 	ws.k = k
 }
@@ -720,41 +487,16 @@ func (m *Matrix) ApplyBatchToWith(ws *Workspace, Y, B *mat.Dense) {
 	if B.Rows != m.N {
 		panic(fmt.Sprintf("core: applyBatch rows %d want %d", B.Rows, m.N))
 	}
-	k := B.Cols
-	ws.check(m, par.Resolve(m.Cfg.Workers))
-	ws.ensureBatch(k)
+	ws.bindBatch(m, B)
+	ws.runScheduled(ws.batch)
+	ws.unbind()
+	ws.unpermuteBatch(Y)
+}
 
-	// Permute the batch rows.
-	for row, orig := range m.Tree.Perm {
-		copy(ws.bpB.Row(row), B.Row(orig))
-	}
-
-	if ws.useSched() {
-		ws.schedUp, ws.schedCoup = ws.bUpIDFn, ws.bCoupFn
-		ws.schedDown, ws.schedLeaf = ws.bDownIDFn, ws.bLeafFn
-		ws.runScheduled()
-	} else {
-		t0 := nowNS()
-		for l := m.Tree.Depth() - 1; l >= 0; l-- {
-			ws.level = m.Tree.Levels[l]
-			ws.forWorker(len(ws.level), ws.bUpFn)
-		}
-		t1 := nowNS()
-		ws.forWorker(len(m.Tree.Nodes), ws.bCoupFn)
-		t2 := nowNS()
-		for l := 0; l < m.Tree.Depth(); l++ {
-			ws.level = m.Tree.Levels[l]
-			ws.forWorker(len(ws.level), ws.bDownFn)
-		}
-		t3 := nowNS()
-		ws.forWorker(len(m.Tree.Leaves), ws.bLeafFn)
-		m.sweeps.record(t0, t1, t2, t3, nowNS())
-	}
-	ws.flushCounters()
-
-	// Un-permute rows into the caller's output.
-	Y.Reshape(m.N, k)
-	for row, orig := range m.Tree.Perm {
+// unpermuteBatch copies the batch result rows into Y in original ordering.
+func (ws *Workspace) unpermuteBatch(Y *mat.Dense) {
+	Y.Reshape(ws.m.N, ws.k)
+	for row, orig := range ws.m.Tree.Perm {
 		copy(Y.Row(orig), ws.ypB.Row(row))
 	}
 }
@@ -762,77 +504,58 @@ func (m *Matrix) ApplyBatchToWith(ws *Workspace, Y, B *mat.Dense) {
 // upNodeB is the batched upward sweep: q_i = V_iᵀ B_i for leaves,
 // q_i = Σ_c W_cᵀ q_c above.
 func (ws *Workspace) upNodeB(w, id int) {
-	m := ws.m
-	nd := &m.Tree.Nodes[id]
-	qi := ws.qB[id]
+	in := ws.in
+	nd := &ws.m.Tree.Nodes[id]
+	qi := in.nodeB[id]
 	zero(qi.Data)
 	if qi.Rows == 0 {
 		return
 	}
 	if nd.IsLeaf {
-		mat.MulTAddTo(qi, m.colBasis(id), rowsView(ws.viewIn[w], ws.bpB, nd.Start, nd.End))
+		mat.MulTAddTo(qi, in.basis[id], rowsView(ws.viewIn[w], ws.bpB, nd.Start, nd.End))
 		return
 	}
 	off := 0
 	for _, c := range nd.Children {
-		rc := m.colRank(c)
+		rc := in.ranks[c]
 		if rc > 0 {
-			mat.MulTRangeAddTo(qi, m.colTrans(id), off, off+rc, ws.qB[c])
+			mat.MulTRangeAddTo(qi, in.trans[id], off, off+rc, in.nodeB[c])
 		}
 		off += rc
 	}
 }
 
 // coupNodeB is the batched coupling sweep: one stored-block application or
-// tile assembly per block for all k columns.
+// tile evaluation per block for all k columns.
 func (ws *Workspace) coupNodeB(w, id int) {
-	m := ws.m
-	gi := ws.gB[id]
+	gi := ws.out.nodeB[id]
+	if ws.coupFixed(id, gi.Data) {
+		return
+	}
 	zero(gi.Data)
 	if gi.Rows == 0 {
 		return
 	}
-	for _, j := range m.Tree.Nodes[id].Interaction {
-		if m.colRank(j) == 0 {
-			continue
+	for _, j := range ws.m.Tree.Nodes[id].Interaction {
+		if ws.in.ranks[j] > 0 {
+			ws.blockBatch(w, false, gi, id, j, ws.in.nodeB[j])
 		}
-		switch m.Cfg.Mode {
-		case Normal:
-			m.coup.ApplyBatch(gi, id, j, ws.qB[j])
-			continue
-		case Hybrid:
-			if m.coup.applyBatchOTFOrder(gi, id, j, ws.qB[j]) {
-				ws.ctr[w*ctrStride+ctrHit]++
-				continue
-			}
-			ws.ctr[w*ctrStride+ctrMiss]++
-		}
-		t := nowNS()
-		if m.seedOTF {
-			tile := kernel.Assemble(ws.scratch[w], m.Kern, m.skelPts[id], m.skel[id], m.skelPts[j], m.colSkeleton(j))
-			mat.MulAddTo(gi, tile, ws.qB[j])
-		} else if m.Cfg.FastMath {
-			kernel.BlockMulAddFMA(gi, m.Kern, m.skelPts[id], m.skel[id], m.skelPts[j], m.colSkeleton(j), ws.qB[j], ws.scratch[w])
-		} else {
-			kernel.BlockMulAdd(gi, m.Kern, m.skelPts[id], m.skel[id], m.skelPts[j], m.colSkeleton(j), ws.qB[j], ws.scratch[w])
-		}
-		ws.ctr[w*ctrStride+ctrOtfNS] += nowNS() - t
 	}
 }
 
 // downNodeB is the batched downward sweep: g_c += R_c g_i.
 func (ws *Workspace) downNodeB(_, id int) {
-	m := ws.m
-	nd := &m.Tree.Nodes[id]
-	if nd.IsLeaf || m.ranks[id] == 0 {
+	out := ws.out
+	nd := &ws.m.Tree.Nodes[id]
+	if nd.IsLeaf || out.ranks[id] == 0 {
 		return
 	}
-	gi := ws.gB[id]
+	gi := out.nodeB[id]
 	off := 0
 	for _, c := range nd.Children {
-		rc := m.ranks[c]
+		rc := out.ranks[c]
 		if rc > 0 {
-			mat.MulRangeAddTo(ws.gB[c], m.trans[id], off, off+rc, gi)
+			mat.MulRangeAddTo(out.nodeB[c], out.trans[id], off, off+rc, gi)
 		}
 		off += rc
 	}
@@ -845,32 +568,11 @@ func (ws *Workspace) leafNodeB(w, k int) {
 	nd := &m.Tree.Nodes[id]
 	yi := rowsView(ws.viewOut[w], ws.ypB, nd.Start, nd.End)
 	zero(yi.Data)
-	if m.ranks[id] > 0 {
-		mat.MulAddTo(yi, m.u[id], ws.gB[id])
+	if ws.out.ranks[id] > 0 {
+		mat.MulAddTo(yi, ws.out.basis[id], ws.out.nodeB[id])
 	}
 	for _, j := range nd.Near {
 		nj := &m.Tree.Nodes[j]
-		bj := rowsView(ws.viewIn[w], ws.bpB, nj.Start, nj.End)
-		switch m.Cfg.Mode {
-		case Normal:
-			m.near.ApplyBatch(yi, id, j, bj)
-			continue
-		case Hybrid:
-			if m.near.applyBatchOTFOrder(yi, id, j, bj) {
-				ws.ctr[w*ctrStride+ctrHit]++
-				continue
-			}
-			ws.ctr[w*ctrStride+ctrMiss]++
-		}
-		t := nowNS()
-		if m.seedOTF {
-			tile := kernel.Assemble(ws.scratch[w], m.Kern, m.Tree.Points, m.leafRange(id), m.Tree.Points, m.leafRange(j))
-			mat.MulAddTo(yi, tile, bj)
-		} else if m.Cfg.FastMath {
-			kernel.BlockMulAddFMA(yi, m.Kern, m.Tree.Points, m.leafRange(id), m.Tree.Points, m.leafRange(j), bj, ws.scratch[w])
-		} else {
-			kernel.BlockMulAdd(yi, m.Kern, m.Tree.Points, m.leafRange(id), m.Tree.Points, m.leafRange(j), bj, ws.scratch[w])
-		}
-		ws.ctr[w*ctrStride+ctrOtfNS] += nowNS() - t
+		ws.blockBatch(w, true, yi, id, j, rowsView(ws.viewIn[w], ws.bpB, nj.Start, nj.End))
 	}
 }

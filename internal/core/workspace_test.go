@@ -216,30 +216,32 @@ func TestSerializeRoundTripBatchEquivalence(t *testing.T) {
 }
 
 func TestApplyToWithZeroAllocSteadyState(t *testing.T) {
-	// With a caller-owned workspace and serial sweeps, the steady-state
-	// matvec must not touch the allocator at all.
+	// With a caller-owned workspace the steady-state matvec must not touch
+	// the allocator at all, on the serial drain (one worker) and on the
+	// pool's helpers alike.
 	pts := pointset.Cube(1000, 3, 260)
 	for _, mode := range []MemoryMode{Normal, OnTheFly} {
-		m, err := Build(pts, kernel.Coulomb{}, Config{Kind: DataDriven, Mode: mode, Tol: 1e-5, LeafSize: 60, Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b := randVec(1000, 261)
-		y := make([]float64, 1000)
-		ws := m.NewWorkspace()
-		m.ApplyToWith(ws, y, b) // warm-up: grows the OTF scratch tile
-		allocs := testing.AllocsPerRun(10, func() {
-			m.ApplyToWith(ws, y, b)
-		})
-		if allocs != 0 {
-			t.Fatalf("mode %v: ApplyToWith allocates %.1f objects/op in steady state", mode, allocs)
-		}
-		m.ApplyTransposeToWith(ws, y, b)
-		allocs = testing.AllocsPerRun(10, func() {
-			m.ApplyTransposeToWith(ws, y, b)
-		})
-		if allocs != 0 {
-			t.Fatalf("mode %v: ApplyTransposeToWith allocates %.1f objects/op", mode, allocs)
+		for _, workers := range []int{1, 2} {
+			m, err := Build(pts, kernel.Coulomb{}, Config{Kind: DataDriven, Mode: mode, Tol: 1e-5, LeafSize: 60, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := randVec(1000, 261)
+			y := make([]float64, 1000)
+			B := mat.NewDenseData(1000, 2, randVec(2000, 262))
+			Y := mat.NewDense(0, 0)
+			ws := m.NewWorkspace()
+			for name, apply := range map[string]func(){
+				"ApplyToWith":          func() { m.ApplyToWith(ws, y, b) },
+				"ApplyTransposeToWith": func() { m.ApplyTransposeToWith(ws, y, b) },
+				"ApplyBatchToWith":     func() { m.ApplyBatchToWith(ws, Y, B) },
+			} {
+				apply() // warm-up: grows the batch buffers and scratch panels
+				if allocs := testing.AllocsPerRun(10, apply); allocs != 0 {
+					t.Fatalf("mode %v workers %d: %s allocates %.1f objects/op in steady state", mode, workers, name, allocs)
+				}
+			}
+			ws.Close()
 		}
 	}
 }

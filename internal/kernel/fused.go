@@ -241,17 +241,6 @@ func evalOne(rk Kernel, pk Pairwise, radial bool, xi []float64, y *pointset.Poin
 // fused form of Assemble + mat.MulVecAdd, bitwise-identical to it. out is
 // indexed by row position (len(rows)), v by column position (len(cols)).
 func BlockVecAdd(out []float64, pk Pairwise, x *pointset.Points, rows []int, y *pointset.Points, cols []int, v []float64) {
-	blockVecAdd(out, pk, x, rows, y, cols, v, false)
-}
-
-// BlockVecAddFMA is BlockVecAdd with fused multiply-adds (one rounding per
-// multiply-add instead of two) — the Config.FastMath accumulation, NOT
-// bitwise-compatible with the default path.
-func BlockVecAddFMA(out []float64, pk Pairwise, x *pointset.Points, rows []int, y *pointset.Points, cols []int, v []float64) {
-	blockVecAdd(out, pk, x, rows, y, cols, v, true)
-}
-
-func blockVecAdd(out []float64, pk Pairwise, x *pointset.Points, rows []int, y *pointset.Points, cols []int, v []float64, fma bool) {
 	rk, radial := pk.(Kernel)
 	d := x.Dim
 	L := len(cols)
@@ -266,19 +255,11 @@ func blockVecAdd(out []float64, pk Pairwise, x *pointset.Points, rows []int, y *
 			b1 := min(b0+fusedChunk, U)
 			kernelChunk(rk, pk, radial, kbuf[:], r2buf[:], xi, y, cols[b0:b1], d)
 			vv := v[b0:b1]
-			if fma {
-				mat.DotAcc4FMA(kbuf[:len(vv)], vv, &acc)
-			} else {
-				mat.DotAcc4(kbuf[:len(vv)], vv, &acc)
-			}
+			mat.DotAcc4(kbuf[:len(vv)], vv, &acc)
 		}
 		s := (acc[0] + acc[1]) + (acc[2] + acc[3])
 		for b := U; b < L; b++ {
-			if fma {
-				s = math.FMA(evalOne(rk, pk, radial, xi, y, cols[b], d), v[b], s)
-			} else {
-				s += evalOne(rk, pk, radial, xi, y, cols[b], d) * v[b]
-			}
+			s += evalOne(rk, pk, radial, xi, y, cols[b], d) * v[b]
 		}
 		out[a] += s
 	}
@@ -290,16 +271,6 @@ func blockVecAdd(out []float64, pk Pairwise, x *pointset.Points, rows []int, y *
 // evaluated at all, exactly as MulTVecAdd never touches them). out is
 // indexed by column position, v by row position.
 func BlockTVecAdd(out []float64, pk Pairwise, x *pointset.Points, rows []int, y *pointset.Points, cols []int, v []float64) {
-	blockTVecAdd(out, pk, x, rows, y, cols, v, false)
-}
-
-// BlockTVecAddFMA is BlockTVecAdd with fused multiply-adds — the
-// Config.FastMath accumulation, NOT bitwise-compatible with the default path.
-func BlockTVecAddFMA(out []float64, pk Pairwise, x *pointset.Points, rows []int, y *pointset.Points, cols []int, v []float64) {
-	blockTVecAdd(out, pk, x, rows, y, cols, v, true)
-}
-
-func blockTVecAdd(out []float64, pk Pairwise, x *pointset.Points, rows []int, y *pointset.Points, cols []int, v []float64, fma bool) {
 	rk, radial := pk.(Kernel)
 	d := x.Dim
 	R := len(rows)
@@ -317,11 +288,7 @@ func blockTVecAdd(out []float64, pk Pairwise, x *pointset.Points, rows []int, y 
 			b1 := min(b0+fusedChunk, len(cols))
 			kernelChunk(rk, pk, radial, k0[:], r2buf[:], xi, y, cols[b0:b1], d)
 			oo := out[b0:b1]
-			if fma {
-				mat.AxpyChunkFMA(oo, xv, k0[:len(oo)])
-			} else {
-				mat.AxpyChunk(oo, xv, k0[:len(oo)])
-			}
+			mat.AxpyChunk(oo, xv, k0[:len(oo)])
 		}
 	}
 	pair := func(r int, x0, x1 float64) {
@@ -339,11 +306,7 @@ func blockTVecAdd(out []float64, pk Pairwise, x *pointset.Points, rows []int, y 
 				kernelChunk(rk, pk, radial, k0[:], r2buf[:], xi0, y, cc, d)
 				kernelChunk(rk, pk, radial, k1[:], r2buf[:], xi1, y, cc, d)
 				oo := out[b0:b1]
-				if fma {
-					mat.Axpy2ChunkFMA(oo, x0, k0[:len(oo)], x1, k1[:len(oo)])
-				} else {
-					mat.Axpy2Chunk(oo, x0, k0[:len(oo)], x1, k1[:len(oo)])
-				}
+				mat.Axpy2Chunk(oo, x0, k0[:len(oo)], x1, k1[:len(oo)])
 			}
 		}
 	}
@@ -360,11 +323,7 @@ func blockTVecAdd(out []float64, pk Pairwise, x *pointset.Points, rows []int, y 
 				kernelChunk(rk, pk, radial, k2[:], r2buf[:], xi2, y, cc, d)
 				kernelChunk(rk, pk, radial, k3[:], r2buf[:], xi3, y, cc, d)
 				oo := out[b0:b1]
-				if fma {
-					mat.Axpy4ChunkFMA(oo, x0, k0[:len(oo)], x1, k1[:len(oo)], x2, k2[:len(oo)], x3, k3[:len(oo)])
-				} else {
-					mat.Axpy4Chunk(oo, x0, k0[:len(oo)], x1, k1[:len(oo)], x2, k2[:len(oo)], x3, k3[:len(oo)])
-				}
+				mat.Axpy4Chunk(oo, x0, k0[:len(oo)], x1, k1[:len(oo)], x2, k2[:len(oo)], x3, k3[:len(oo)])
 			}
 			continue
 		}
@@ -387,16 +346,6 @@ func blockTVecAdd(out []float64, pk Pairwise, x *pointset.Points, rows []int, y 
 // one row panel regardless of tile size. C is len(rows) x B.Cols and B is
 // len(cols) x B.Cols.
 func BlockMulAdd(c *mat.Dense, pk Pairwise, x *pointset.Points, rows []int, y *pointset.Points, cols []int, b *mat.Dense, rowbuf *mat.Dense) {
-	blockMulAdd(c, pk, x, rows, y, cols, b, rowbuf, false)
-}
-
-// BlockMulAddFMA is BlockMulAdd with fused multiply-adds — the
-// Config.FastMath accumulation, NOT bitwise-compatible with the default path.
-func BlockMulAddFMA(c *mat.Dense, pk Pairwise, x *pointset.Points, rows []int, y *pointset.Points, cols []int, b *mat.Dense, rowbuf *mat.Dense) {
-	blockMulAdd(c, pk, x, rows, y, cols, b, rowbuf, true)
-}
-
-func blockMulAdd(c *mat.Dense, pk Pairwise, x *pointset.Points, rows []int, y *pointset.Points, cols []int, b *mat.Dense, rowbuf *mat.Dense, fma bool) {
 	rk, radial := pk.(Kernel)
 	d := x.Dim
 	n := b.Cols
@@ -410,14 +359,8 @@ func blockMulAdd(c *mat.Dense, pk Pairwise, x *pointset.Points, rows []int, y *p
 			kernelChunk(rk, pk, radial, row[b0:b1], r2buf[:], xi, y, cols[b0:b1], d)
 		}
 		crow := c.Row(a)
-		if fma {
-			for j := 0; j < n; j++ {
-				crow[j] += mat.DotStrideFMA(row, b.Data, j, n)
-			}
-		} else {
-			for j := 0; j < n; j++ {
-				crow[j] += mat.DotStride(row, b.Data, j, n)
-			}
+		for j := 0; j < n; j++ {
+			crow[j] += mat.DotStride(row, b.Data, j, n)
 		}
 	}
 }

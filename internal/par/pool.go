@@ -69,6 +69,12 @@ type pool struct {
 
 	callerWake chan struct{} // buffered(1): last finisher nudges a parked caller
 	stop       atomic.Bool
+
+	// runFn is the body of the current Run phase and runSlot its
+	// ForWorker adapter, a method value built once in NewPool so Run does
+	// not allocate a closure per call.
+	runFn   func(slot int)
+	runSlot func(worker, i int)
 }
 
 // NewPool creates a pool with Resolve(workers) workers: the calling
@@ -82,6 +88,7 @@ func NewPool(workers int) *Pool {
 		workers:    workers,
 		callerWake: make(chan struct{}, 1),
 	}
+	p.runSlot = p.runOne
 	for h := 1; h < workers; h++ {
 		w := make(chan struct{}, 1)
 		p.wakes = append(p.wakes, w)
@@ -131,8 +138,13 @@ func (p *Pool) For(n int, fn func(i int)) {
 // sequentially on that goroutine, each with its own scratch line). Not safe
 // for concurrent use on one Pool.
 func (p *Pool) Run(fn func(slot int)) {
-	p.ForWorker(p.p.workers, func(_, i int) { fn(i) })
+	in := p.p
+	in.runFn = fn
+	p.ForWorker(in.workers, in.runSlot)
+	in.runFn = nil
 }
+
+func (p *pool) runOne(_, slot int) { p.runFn(slot) }
 
 // ForWorker runs fn(worker, i) for every i in [0, n) on the pool, passing
 // the claiming worker's id in [0, workers). It returns when every iteration

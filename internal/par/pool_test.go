@@ -211,3 +211,19 @@ func TestPoolRunDistinctSlots(t *testing.T) {
 		p.Close()
 	}
 }
+
+// TestPoolRunZeroAlloc pins that Run does not allocate per call: the
+// scheduled matvec issues one Run per product, and the serving path keeps
+// that product allocation-free.
+func TestPoolRunZeroAlloc(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		p := NewPool(workers)
+		var n atomic.Int64
+		fn := func(int) { n.Add(1) }
+		p.Run(fn)
+		if allocs := testing.AllocsPerRun(20, func() { p.Run(fn) }); allocs != 0 {
+			t.Fatalf("w=%d: Run allocates %.1f objects/op", workers, allocs)
+		}
+		p.Close()
+	}
+}
