@@ -13,13 +13,12 @@ import (
 )
 
 // BuildRun is one measured construction configuration in the build section of
-// BENCH_matvec.json. Mode distinguishes the current build path ("blocked":
-// blocked CPQR + fused panel assembly) from the pre-acceleration baseline
-// ("seed": unblocked CPQR, per-entry assembly, via core.Config.
-// SeedConstruction); the blocked/seed pair at workers=1 is the cross-PR
-// build-speed record. Build time is the median over Samples full builds;
-// PeakRSSKiB is the process high-water mark after the row's builds (ru_maxrss
-// is monotone over the process lifetime, so rows only ever raise it).
+// BENCH_matvec.json. Mode names the build path: "blocked" (blocked CPQR +
+// fused panel assembly), the only one; "seed" rows in older reports record
+// the retired pre-acceleration path. Build time is the median over Samples
+// full builds; PeakRSSKiB is the process high-water mark after the row's
+// builds (ru_maxrss is monotone over the process lifetime, so rows only ever
+// raise it).
 type BuildRun struct {
 	N             int     `json:"n"`
 	Leaf          int     `json:"leaf"`
@@ -63,9 +62,7 @@ func buildWorkerSweep(resolved int) []int {
 }
 
 // BuildBench measures wall-clock construction time across problem sizes and
-// worker counts in error-controlled mode, comparing the current build path
-// against the seed-era one (unblocked CPQR, per-entry assembly) at one
-// worker. Rows land in the build section of BENCH_matvec.json next to the
+// worker counts in error-controlled mode. Rows land in the build section of BENCH_matvec.json next to the
 // apply trajectory.
 //
 // Self-asserting: every build's a-posteriori certificate must come in at or
@@ -139,13 +136,6 @@ func BuildBench(opt Options) error {
 		base := core.Config{Kind: core.DataDriven, Mode: core.Normal, RelTol: reltol,
 			LeafSize: leaf, Sampler: opt.sampler()}
 
-		// Seed-era baseline, one worker: the denominator of the speedup record.
-		seedCfg := base
-		seedCfg.Workers = 1
-		seedCfg.SeedConstruction = true
-		if err := measure(n, leaf, 1, "seed", seedCfg); err != nil {
-			return err
-		}
 		for _, w := range buildWorkerSweep(resolved) {
 			cfg := base
 			cfg.Workers = w
@@ -155,25 +145,6 @@ func BuildBench(opt Options) error {
 		}
 	}
 	tb.flush()
-
-	// Report the headline single-worker speedup per n.
-	for _, n := range buildCases(opt.Scale) {
-		var seedNS, blockedNS int64
-		for _, r := range runs {
-			if r.N == n && r.Workers == 1 {
-				switch r.Mode {
-				case "seed":
-					seedNS = r.MedianBuildNS
-				case "blocked":
-					blockedNS = r.MedianBuildNS
-				}
-			}
-		}
-		if seedNS > 0 && blockedNS > 0 {
-			fmt.Fprintf(out, "\nn=%d single-worker build: seed %.1f ms, blocked %.1f ms (%.2fx)\n",
-				n, float64(seedNS)/1e6, float64(blockedNS)/1e6, float64(seedNS)/float64(blockedNS))
-		}
-	}
 
 	// Merge into BENCH_matvec.json: this experiment owns the build section,
 	// every other experiment's rows are preserved.

@@ -18,9 +18,9 @@ type blockKey struct{ I, J int }
 // BlockStore is the paper's coupling-block container (§III-A): a sparse
 // integer index ("the value of the element at (i,j) providing the linear
 // index into a vector of dense matrices") plus the dense block slab. The
-// workspace's block-apply helpers (blockVec, blockBatch) make callers
-// oblivious to whether a block was stored at construction (normal and
-// hybrid modes) or is evaluated on the fly.
+// workspace's block-apply helper (block) makes callers oblivious to whether
+// a block was stored at construction (normal and hybrid modes) or is
+// evaluated on the fly.
 //
 // The store has two representations. During the build phase it is a
 // map[blockKey] index over individually-allocated blocks — cheap to insert
@@ -173,11 +173,21 @@ func (s *BlockStore) Preallocate(specs []PutSpec) []*mat.Dense {
 	for i := 1; i < len(s.rowPtr); i++ {
 		s.rowPtr[i] += s.rowPtr[i-1]
 	}
-	s.frozenBytes = slabLen*8 + int64(len(s.hdr))*40 + int64(len(s.rowPtr)+len(s.colIdx))*4
+	s.frozenBytes = s.csrBytes(slabLen)
 	s.frozenMaxBlk = maxBlk
 	s.index = nil
 	s.blocks = nil
 	return out
+}
+
+// csrBytes is the frozen-form footprint over a payload of slabLen elements:
+// slab payload, header array and CSR index. An empty store holds no block
+// and reports zero bytes.
+func (s *BlockStore) csrBytes(slabLen int64) int64 {
+	if len(s.hdr) == 0 {
+		return 0
+	}
+	return slabLen*8 + int64(len(s.hdr))*40 + int64(len(s.rowPtr)+len(s.colIdx))*4
 }
 
 // compact builds the CSR index and payload slab from the build-phase map and
@@ -227,8 +237,7 @@ func (s *BlockStore) compact() {
 		s.rowPtr[i] += s.rowPtr[i-1]
 	}
 
-	// Memoized accounting: slab payload, header array, and index arrays.
-	s.frozenBytes = slabLen*8 + int64(len(s.hdr))*40 + int64(len(s.rowPtr)+len(s.colIdx))*4
+	s.frozenBytes = s.csrBytes(slabLen)
 	s.frozenMaxBlk = maxBlk
 
 	// Release the build-phase representation (the scattered blocks and the
@@ -287,22 +296,23 @@ func (s *BlockStore) Get(i, j int) *mat.Dense {
 	return s.blocks[k]
 }
 
-// applyVec accumulates one stored block product into g and reports whether
-// the block was found: g += B_{i,j} q, or g += B_{j,i}ᵀ q on the transpose.
-// otfOrder selects the summation order of the fused on-the-fly kernels
-// (the hybrid store, which must be indistinguishable from on-the-fly
-// evaluation) instead of the plain stored-block order (Normal mode).
+// apply accumulates one stored block product into the panel g and reports
+// whether the block was found: g += B_{i,j} q, or g += B_{j,i}ᵀ q on the
+// transpose (a k = 1 product). otfOrder selects the summation order of the
+// fused on-the-fly kernels (the hybrid store, which must be
+// indistinguishable from on-the-fly evaluation) instead of the plain
+// stored-block order (Normal mode).
 //
 // The needed block is B_{a,b} with (a, b) = (i, j), or (j, i) on the
 // transpose. A store holding (a, b) itself applies it forward (transposed
 // on the transpose). A triangular store keeps only a <= b, so for a > b it
 // applies the mirrored payload (b, a), which equals B_{a,b}ᵀ element for
-// element: with MulTVecAdd in plain order, with MulTVecAddDot (the column
+// element: with MulTAddTo in plain order, with MulTAddToDot (the column
 // walk with the on-the-fly dot grouping) in on-the-fly order, and with
 // MulVecAddSeq (MulTVecAdd's sequential accumulation) on an on-the-fly-order
 // transpose. A plain-order triangular transpose is the forward product,
 // since B_{j,i}ᵀ = B_{i,j}.
-func (s *BlockStore) applyVec(g []float64, i, j int, q []float64, transpose, otfOrder bool) bool {
+func (s *BlockStore) apply(g *mat.Dense, i, j int, q *mat.Dense, transpose, otfOrder bool) bool {
 	if transpose && !s.directed && !otfOrder {
 		transpose = false
 	}
@@ -316,9 +326,9 @@ func (s *BlockStore) applyVec(g []float64, i, j int, q []float64, transpose, otf
 			return false
 		}
 		if transpose {
-			mat.MulTVecAdd(g, blk, q)
+			mat.MulTAddTo(g, blk, q)
 		} else {
-			mat.MulVecAdd(g, blk, q)
+			mat.MulAddTo(g, blk, q)
 		}
 		return true
 	}
@@ -328,37 +338,11 @@ func (s *BlockStore) applyVec(g []float64, i, j int, q []float64, transpose, otf
 	}
 	switch {
 	case transpose:
-		mat.MulVecAddSeq(g, blk, q)
+		mat.MulVecAddSeq(g.Data, blk, q.Data)
 	case otfOrder:
-		mat.MulTVecAddDot(g, blk, q)
+		mat.MulTAddToDot(g, blk, q)
 	default:
-		mat.MulTVecAdd(g, blk, q)
-	}
-	return true
-}
-
-// applyBatch accumulates g += B_{i,j} q for a block of right-hand sides
-// (q is rank_j x k, g is rank_i x k) and reports whether the block was
-// found. A triangular-transpose hit applies the stored (j, i) block with
-// MulTAddTo, or in on-the-fly order with MulTAddToDot (per-element
-// dot-grouped column strides, as the fused batch kernel).
-func (s *BlockStore) applyBatch(g *mat.Dense, i, j int, q *mat.Dense, otfOrder bool) bool {
-	if s.directed || i <= j {
-		b := s.Get(i, j)
-		if b == nil {
-			return false
-		}
-		mat.MulAddTo(g, b, q)
-		return true
-	}
-	b := s.Get(j, i)
-	if b == nil {
-		return false
-	}
-	if otfOrder {
-		mat.MulTAddToDot(g, b, q)
-	} else {
-		mat.MulTAddTo(g, b, q)
+		mat.MulTAddTo(g, blk, q)
 	}
 	return true
 }
@@ -382,20 +366,21 @@ func (ws *Workspace) blockPoints(near bool, i, j int) (x *pointset.Points, ri []
 	return m.skelPts[i], ws.out.skel[i], m.skelPts[j], ws.in.skel[j]
 }
 
-// blockVec is the vector block-apply helper behind the coupling and leaf
-// kernels: out += B in for the (i, j) coupling block, or for near the
-// nearfield block, with B = K(x[ri], y[rj]) (see blockPoints), or
+// block is the block-apply helper behind the coupling and leaf kernels:
+// out += B in for the (i, j) coupling block, or for near the nearfield
+// block, with B = K(x[ri], y[rj]) (see blockPoints), or
 // out += K(y[rj], x[ri])ᵀ in on the transpose. Normal mode applies the
 // stored block; Hybrid applies it in on-the-fly order when stored and
-// evaluates it otherwise; OnTheFly always evaluates the fused kernel. Hits,
-// misses and evaluation time land on worker w's counter line.
-func (ws *Workspace) blockVec(w int, near bool, out []float64, i, j int, in []float64) {
+// evaluates it otherwise; OnTheFly always evaluates the fused kernel, which
+// for k > 1 stages one tile row at a time in worker w's scratch panel.
+// Hits, misses and evaluation time land on worker w's counter line.
+func (ws *Workspace) block(w int, near bool, out *mat.Dense, i, j int, in *mat.Dense) {
 	switch ws.m.Cfg.Mode {
 	case Normal:
-		ws.store(near).applyVec(out, i, j, in, ws.transpose, false)
+		ws.store(near).apply(out, i, j, in, ws.transpose, false)
 		return
 	case Hybrid:
-		if ws.store(near).applyVec(out, i, j, in, ws.transpose, true) {
+		if ws.store(near).apply(out, i, j, in, ws.transpose, true) {
 			ws.ctr[w*ctrStride+ctrHit]++
 			return
 		}
@@ -404,31 +389,10 @@ func (ws *Workspace) blockVec(w int, near bool, out []float64, i, j int, in []fl
 	x, ri, y, rj := ws.blockPoints(near, i, j)
 	t := nowNS()
 	if ws.transpose {
-		kernel.BlockTVecAdd(out, ws.m.Kern, y, rj, x, ri, in)
+		kernel.BlockTVecAdd(out.Data, ws.m.Kern, y, rj, x, ri, in.Data)
 	} else {
-		kernel.BlockVecAdd(out, ws.m.Kern, x, ri, y, rj, in)
+		kernel.BlockMulAdd(out, ws.m.Kern, x, ri, y, rj, in, ws.scratch[w])
 	}
-	ws.ctr[w*ctrStride+ctrOtfNS] += nowNS() - t
-}
-
-// blockBatch is blockVec for a block of right-hand sides (forward only).
-// The fused kernel evaluates one tile row at a time into worker w's scratch
-// panel.
-func (ws *Workspace) blockBatch(w int, near bool, out *mat.Dense, i, j int, in *mat.Dense) {
-	switch ws.m.Cfg.Mode {
-	case Normal:
-		ws.store(near).applyBatch(out, i, j, in, false)
-		return
-	case Hybrid:
-		if ws.store(near).applyBatch(out, i, j, in, true) {
-			ws.ctr[w*ctrStride+ctrHit]++
-			return
-		}
-		ws.ctr[w*ctrStride+ctrMiss]++
-	}
-	x, ri, y, rj := ws.blockPoints(near, i, j)
-	t := nowNS()
-	kernel.BlockMulAdd(out, ws.m.Kern, x, ri, y, rj, in, ws.scratch[w])
 	ws.ctr[w*ctrStride+ctrOtfNS] += nowNS() - t
 }
 

@@ -5,7 +5,9 @@ import (
 	"sync"
 	"testing"
 
+	"h2ds/internal/kernel"
 	"h2ds/internal/mat"
+	"h2ds/internal/pointset"
 )
 
 func TestBlockStorePutGet(t *testing.T) {
@@ -35,13 +37,16 @@ func TestBlockStorePutOrderPanics(t *testing.T) {
 	NewBlockStore().Put(3, 1, mat.NewDense(1, 1))
 }
 
+// colPanel wraps v as a v-length single-column panel (shared backing).
+func colPanel(v []float64) *mat.Dense { return mat.NewDenseData(len(v), 1, v) }
+
 func TestBlockStoreApplyDirectAndTransposed(t *testing.T) {
 	s := NewBlockStore()
 	b := mat.NewDenseData(2, 3, []float64{1, 2, 3, 4, 5, 6})
 	s.Put(1, 5, b)
 	q := []float64{1, -1, 2}
 	g := make([]float64, 2)
-	if !s.applyVec(g, 1, 5, q, false, false) {
+	if !s.apply(colPanel(g), 1, 5, colPanel(q), false, false) {
 		t.Fatal("apply missed stored block")
 	}
 	if g[0] != 1*1-2+3*2 || g[1] != 4-5+6*2 {
@@ -50,7 +55,7 @@ func TestBlockStoreApplyDirectAndTransposed(t *testing.T) {
 	// Transposed: B_{5,1} = Bᵀ.
 	q2 := []float64{1, 1}
 	g2 := make([]float64, 3)
-	if !s.applyVec(g2, 5, 1, q2, false, false) {
+	if !s.apply(colPanel(g2), 5, 1, colPanel(q2), false, false) {
 		t.Fatal("transposed apply missed")
 	}
 	want := []float64{5, 7, 9}
@@ -61,7 +66,7 @@ func TestBlockStoreApplyDirectAndTransposed(t *testing.T) {
 	}
 	// Missing block reports false and leaves g untouched.
 	g3 := []float64{7}
-	if s.applyVec(g3, 9, 9, []float64{1}, false, false) {
+	if s.apply(colPanel(g3), 9, 9, colPanel([]float64{1}), false, false) {
 		t.Fatal("apply on missing block must return false")
 	}
 	if g3[0] != 7 {
@@ -120,7 +125,7 @@ func TestBlockStoreConcurrentPutGet(t *testing.T) {
 					t.Errorf("block (%d,%d) has wrong payload %g", i, i+1, b.Data[0])
 					return
 				}
-				s.applyVec(g, i, i+1, []float64{1}, false, false)
+				s.apply(colPanel(g), i, i+1, colPanel([]float64{1}), false, false)
 				_ = s.Len()
 				_ = s.Bytes()
 				_ = s.MaxBlockBytes()
@@ -154,7 +159,7 @@ func TestBlockStoreApplyBatch(t *testing.T) {
 	s.Put(1, 5, b)
 	q := mat.NewDenseData(3, 2, []float64{1, 0, -1, 1, 2, -2})
 	g := mat.NewDense(2, 2)
-	if !s.applyBatch(g, 1, 5, q, false) {
+	if !s.apply(g, 1, 5, q, false, false) {
 		t.Fatal("batch apply missed stored block")
 	}
 	want := mat.Mul(b, q)
@@ -166,7 +171,7 @@ func TestBlockStoreApplyBatch(t *testing.T) {
 	// Transposed direction.
 	q2 := mat.NewDenseData(2, 2, []float64{1, -1, 1, 2})
 	g2 := mat.NewDense(3, 2)
-	if !s.applyBatch(g2, 5, 1, q2, false) {
+	if !s.apply(g2, 5, 1, q2, false, false) {
 		t.Fatal("transposed batch apply missed")
 	}
 	wantT := mat.Mul(b.T(), q2)
@@ -175,7 +180,7 @@ func TestBlockStoreApplyBatch(t *testing.T) {
 			t.Fatalf("transposed batch apply wrong: %v want %v", g2.Data, wantT.Data)
 		}
 	}
-	if s.applyBatch(mat.NewDense(1, 2), 9, 9, mat.NewDense(1, 2), false) {
+	if s.apply(mat.NewDense(1, 2), 9, 9, mat.NewDense(1, 2), false, false) {
 		t.Fatal("batch apply on missing block must return false")
 	}
 }
@@ -192,5 +197,30 @@ func TestBlockStoreBytes(t *testing.T) {
 	}
 	if s.MaxBlockBytes() != 100*8 {
 		t.Fatalf("MaxBlockBytes %d want %d", s.MaxBlockBytes(), 100*8)
+	}
+}
+
+// TestEmptyFrozenStoreReportsZeroBytes: a store frozen with no blocks —
+// built empty, preallocated empty, or a hybrid build at budget 0 — holds
+// nothing and must say so; the registry's reclaim loop reads these bytes to
+// decide whether a tenant still has storage to shed.
+func TestEmptyFrozenStoreReportsZeroBytes(t *testing.T) {
+	s := NewBlockStore()
+	s.Freeze()
+	p := NewBlockStore()
+	p.Preallocate(nil)
+	p.Freeze()
+	if s.Bytes() != 0 || p.Bytes() != 0 {
+		t.Fatalf("empty frozen stores report %d and %d bytes", s.Bytes(), p.Bytes())
+	}
+	m, err := Build(pointset.Cube(500, 3, 81), kernel.Coulomb{},
+		Config{Kind: DataDriven, Mode: Hybrid, StorageBudget: 0, Tol: 1e-4, LeafSize: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mm := range []*Matrix{m, m.WithStorageBudget(0)} {
+		if mem := mm.Memory(); mem.Coupling != 0 || mem.Nearfield != 0 {
+			t.Fatalf("block-free hybrid reports Coupling=%d Nearfield=%d", mem.Coupling, mem.Nearfield)
+		}
 	}
 }

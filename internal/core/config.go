@@ -153,13 +153,6 @@ type Config struct {
 	// across tenants so geometries repeated under different kernels or
 	// tolerances skip Algorithm 1 entirely.
 	Cache *BuildCache
-
-	// SeedConstruction forces construction down the pre-acceleration paths
-	// (unblocked CPQR, per-entry panel assembly, reference sampler scans).
-	// Every path pair produces identical matrices — this knob only selects
-	// the slow implementations. It exists for the build bench's baseline
-	// rows and the equivalence suites; serving code should leave it false.
-	SeedConstruction bool
 }
 
 // withDefaults returns cfg with zero fields resolved.

@@ -228,14 +228,9 @@ func Build(pts *pointset.Points, k kernel.Pairwise, cfg Config) (*Matrix, error)
 		return nil, fmt.Errorf("core: unknown basis kind %v", cfg.Kind)
 	}
 
-	switch cfg.Mode {
-	case Normal:
+	if cfg.Mode == Normal || cfg.Mode == Hybrid {
 		t2 := time.Now()
-		m.storeBlocks()
-		m.stats.CouplingTime = time.Since(t2)
-	case Hybrid:
-		t2 := time.Now()
-		m.storeBlocksHybrid(cfg.StorageBudget)
+		m.storeModeBlocks()
 		m.stats.CouplingTime = time.Since(t2)
 	}
 
@@ -380,101 +375,6 @@ func (m *Matrix) colTrans(id int) *mat.Dense {
 	return m.wTrans[id]
 }
 
-// storeBlocks assembles and stores every coupling block (one triangle for
-// symmetric kernels, every directed pair otherwise) and every nearfield
-// block — the normal memory mode. Assembly is parallel over blocks.
-func (m *Matrix) storeBlocks() {
-	sym := m.Kern.Symmetric()
-	if sym {
-		m.coup = NewBlockStore()
-		m.near = NewBlockStore()
-	} else {
-		m.coup = NewDirectedBlockStore()
-		m.near = NewDirectedBlockStore()
-	}
-
-	type pair struct{ i, j int }
-	var coupPairs []pair
-	for i := range m.Tree.Nodes {
-		for _, j := range m.Tree.Nodes[i].Interaction {
-			if !sym || i < j {
-				coupPairs = append(coupPairs, pair{i, j})
-			}
-		}
-	}
-	var nearPairs []pair
-	for _, i := range m.Tree.Leaves {
-		for _, j := range m.Tree.Nodes[i].Near {
-			if !sym || i <= j {
-				nearPairs = append(nearPairs, pair{i, j})
-			}
-		}
-	}
-
-	if m.Cfg.SeedConstruction {
-		// Seed-era flow: individually allocated blocks into the build-phase
-		// map, copied into the CSR slab at Freeze.
-		buildPhase("coupling", func() {
-			m.parFor(len(coupPairs), func(k int) {
-				p := coupPairs[k]
-				if m.ranks[p.i] == 0 || m.colRank(p.j) == 0 {
-					return
-				}
-				b := m.newBlock(m.Kern, m.skelPts[p.i], m.skel[p.i], m.skelPts[p.j], m.colSkeleton(p.j))
-				m.coup.Put(p.i, p.j, b)
-			})
-		})
-		buildPhase("nearfield", func() {
-			m.parFor(len(nearPairs), func(k int) {
-				p := nearPairs[k]
-				ni, nj := &m.Tree.Nodes[p.i], &m.Tree.Nodes[p.j]
-				b := m.newBlock(m.Kern, m.Tree.Points, m.allIdx[ni.Start:ni.End], m.Tree.Points, m.allIdx[nj.Start:nj.End])
-				m.near.Put(p.i, p.j, b)
-			})
-		})
-		m.coup.Freeze()
-		m.near.Freeze()
-		return
-	}
-
-	// Accelerated flow: block shapes are known before assembly, so lay out
-	// the frozen CSR slab first and assemble every payload in place through
-	// the fused tile path — no per-block allocations, no Freeze-time copy.
-	coupKeep := coupPairs[:0]
-	for _, p := range coupPairs {
-		if m.ranks[p.i] > 0 && m.colRank(p.j) > 0 {
-			coupKeep = append(coupKeep, p)
-		}
-	}
-	coupSpecs := make([]PutSpec, len(coupKeep))
-	for k, p := range coupKeep {
-		coupSpecs[k] = PutSpec{I: p.i, J: p.j, Rows: len(m.skel[p.i]), Cols: len(m.colSkeleton(p.j))}
-	}
-	coupDst := m.coup.Preallocate(coupSpecs)
-	buildPhase("coupling", func() {
-		m.parFor(len(coupKeep), func(k int) {
-			p := coupKeep[k]
-			kernel.Assemble(coupDst[k], m.Kern, m.skelPts[p.i], m.skel[p.i], m.skelPts[p.j], m.colSkeleton(p.j))
-		})
-	})
-	nearSpecs := make([]PutSpec, len(nearPairs))
-	for k, p := range nearPairs {
-		nearSpecs[k] = PutSpec{I: p.i, J: p.j, Rows: m.Tree.Nodes[p.i].Size(), Cols: m.Tree.Nodes[p.j].Size()}
-	}
-	nearDst := m.near.Preallocate(nearSpecs)
-	buildPhase("nearfield", func() {
-		m.parFor(len(nearPairs), func(k int) {
-			p := nearPairs[k]
-			ni, nj := &m.Tree.Nodes[p.i], &m.Tree.Nodes[p.j]
-			kernel.Assemble(nearDst[k], m.Kern, m.Tree.Points, m.allIdx[ni.Start:ni.End], m.Tree.Points, m.allIdx[nj.Start:nj.End])
-		})
-	})
-	// Construction is complete: switch both stores to lock-free reads for
-	// the matvec hot path.
-	m.coup.Freeze()
-	m.near.Freeze()
-}
-
 // blockCand describes one storable coupling or nearfield block for the
 // hybrid selection pass.
 type blockCand struct {
@@ -489,10 +389,10 @@ type blockCand struct {
 // header plus CSR index entry (mirrors BlockStore.Bytes accounting).
 func storedBlockBytes(elems int64) int64 { return elems*8 + 48 }
 
-// blockCandidates enumerates every block the normal mode would store,
-// annotated for the hybrid cost model. A symmetric off-diagonal block is
-// applied twice per matvec (once forward, once transposed), so storing it
-// saves two on-the-fly evaluations; diagonal and directed blocks save one.
+// blockCandidates enumerates every block the normal mode stores, annotated
+// for the hybrid cost model. A symmetric off-diagonal block is applied twice
+// per matvec (once forward, once transposed), so storing it saves two
+// on-the-fly evaluations; diagonal and directed blocks save one.
 func (m *Matrix) blockCandidates() []blockCand {
 	sym := m.Kern.Symmetric()
 	var cands []blockCand
@@ -538,6 +438,16 @@ func (m *Matrix) blockCandidates() []blockCand {
 	return cands
 }
 
+// storeModeBlocks stores the blocks the memory mode keeps: every block in
+// Normal mode, the storage budget's selection in Hybrid mode.
+func (m *Matrix) storeModeBlocks() {
+	if m.Cfg.Mode == Hybrid {
+		m.storeBlocksHybrid(m.Cfg.StorageBudget)
+		return
+	}
+	m.storeBlocks(m.blockCandidates())
+}
+
 // storeBlocksHybrid assembles and stores the best-value blocks under a byte
 // budget and leaves the rest for fused on-the-fly evaluation. Value is
 // assembly savings per byte: kernel-evaluation cost is proportional to the
@@ -547,15 +457,6 @@ func (m *Matrix) blockCandidates() []blockCand {
 // so equal-budget builds always select identical sets. Selection is greedy
 // and keeps scanning past blocks that no longer fit.
 func (m *Matrix) storeBlocksHybrid(budget int64) {
-	sym := m.Kern.Symmetric()
-	if sym {
-		m.coup = NewBlockStore()
-		m.near = NewBlockStore()
-	} else {
-		m.coup = NewDirectedBlockStore()
-		m.near = NewDirectedBlockStore()
-	}
-
 	cands := m.blockCandidates()
 	sort.Slice(cands, func(a, b int) bool {
 		ca, cb := &cands[a], &cands[b]
@@ -583,20 +484,50 @@ func (m *Matrix) storeBlocksHybrid(budget int64) {
 		selected = append(selected, c)
 		used += cost
 	}
+	m.storeBlocks(selected)
+}
 
+// storeBlocks assembles and stores the given blocks: every candidate in
+// normal mode, the budget's selection in hybrid mode. Block shapes are
+// known before assembly, so each store's frozen CSR slab is laid out first
+// and every payload is assembled in place through the fused tile path — no
+// per-block allocations, no Freeze-time copy. Assembly is parallel over
+// blocks.
+func (m *Matrix) storeBlocks(blocks []blockCand) {
+	if m.Kern.Symmetric() {
+		m.coup = NewBlockStore()
+		m.near = NewBlockStore()
+	} else {
+		m.coup = NewDirectedBlockStore()
+		m.near = NewDirectedBlockStore()
+	}
+	var coup, near []blockCand
+	var coupSpecs, nearSpecs []PutSpec
+	for _, c := range blocks {
+		if c.near {
+			near = append(near, c)
+			nearSpecs = append(nearSpecs, PutSpec{I: c.i, J: c.j, Rows: m.Tree.Nodes[c.i].Size(), Cols: m.Tree.Nodes[c.j].Size()})
+		} else {
+			coup = append(coup, c)
+			coupSpecs = append(coupSpecs, PutSpec{I: c.i, J: c.j, Rows: len(m.skel[c.i]), Cols: len(m.colSkeleton(c.j))})
+		}
+	}
+	coupDst := m.coup.Preallocate(coupSpecs)
 	buildPhase("coupling", func() {
-		m.parFor(len(selected), func(k int) {
-			c := selected[k]
-			if c.near {
-				ni, nj := &m.Tree.Nodes[c.i], &m.Tree.Nodes[c.j]
-				b := m.newBlock(m.Kern, m.Tree.Points, m.allIdx[ni.Start:ni.End], m.Tree.Points, m.allIdx[nj.Start:nj.End])
-				m.near.Put(c.i, c.j, b)
-				return
-			}
-			b := m.newBlock(m.Kern, m.skelPts[c.i], m.skel[c.i], m.skelPts[c.j], m.colSkeleton(c.j))
-			m.coup.Put(c.i, c.j, b)
+		m.parFor(len(coup), func(k int) {
+			c := coup[k]
+			kernel.Assemble(coupDst[k], m.Kern, m.skelPts[c.i], m.skel[c.i], m.skelPts[c.j], m.colSkeleton(c.j))
 		})
 	})
+	nearDst := m.near.Preallocate(nearSpecs)
+	buildPhase("nearfield", func() {
+		m.parFor(len(near), func(k int) {
+			c := near[k]
+			kernel.Assemble(nearDst[k], m.Kern, m.Tree.Points, m.leafRange(c.i), m.Tree.Points, m.leafRange(c.j))
+		})
+	})
+	// Construction is complete: switch both stores to lock-free reads for
+	// the matvec hot path.
 	m.coup.Freeze()
 	m.near.Freeze()
 }

@@ -25,8 +25,8 @@ func (m *Matrix) ApplyTo(y, b []float64) {
 }
 
 // ApplyPermuted runs Algorithm 2 on vectors in the tree's permuted point
-// ordering. yp and bp must not alias (the leaf sweep reads bp's nearfield
-// neighbours while writing yp). This is the core five-sweep product:
+// ordering; yp and bp may alias (they are copied through the workspace's
+// permutation pair). This is the core five-sweep product:
 //
 //  1. leaf horizontal sweep    q_i = U_iᵀ b_i
 //  2. bottom-to-top sweep      q_i = Σ_c R_cᵀ q_c
@@ -42,6 +42,9 @@ func (m *Matrix) ApplyPermuted(yp, bp []float64) {
 		panic(fmt.Sprintf("core: applyPermuted length mismatch y=%d b=%d n=%d", len(yp), len(bp), m.N))
 	}
 	ws := m.getWorkspace()
-	m.applyPermutedWith(ws, yp, bp, false)
+	ws.bind(m, 1, false)
+	copy(ws.bp.Data, bp)
+	ws.run()
+	copy(yp, ws.yp.Data)
 	m.putWorkspace(ws)
 }

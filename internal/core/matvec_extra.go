@@ -44,7 +44,7 @@ func (m *Matrix) ApplyBatch(b *mat.Dense) *mat.Dense {
 // assembly, the dominant cost — is visited once for the whole batch instead
 // of once per column, and each stage is a small GEMM. This is the natural
 // kernel for block iterative methods (multiple right-hand sides, paper
-// §VI-B). Uses the internal workspace pool; batch buffers are retained and
+// §VI-B). Uses the internal workspace pool; its panels are retained and
 // reused across calls.
 func (m *Matrix) ApplyBatchTo(y, b *mat.Dense) {
 	ws := m.getWorkspace()

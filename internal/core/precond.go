@@ -65,12 +65,14 @@ func (bj *BlockJacobi) ApplyTo(y, b []float64) {
 	}
 	ws := m.getWorkspace()
 	ws.check(m, par.Resolve(bj.workers))
-	m.Tree.PermuteVec(ws.bp, b)
+	ws.shape(1)
+	bp, yp := ws.bp.Data, ws.yp.Data
+	m.Tree.PermuteVec(bp, b)
 	ws.pool.For(len(bj.leaves), func(k int) {
 		nd := &m.Tree.Nodes[bj.leaves[k]]
-		bj.factors[k].SolveTo(ws.yp[nd.Start:nd.End], ws.bp[nd.Start:nd.End])
+		bj.factors[k].SolveTo(yp[nd.Start:nd.End], bp[nd.Start:nd.End])
 	})
-	m.Tree.UnpermuteVec(y, ws.yp)
+	m.Tree.UnpermuteVec(y, yp)
 	m.putWorkspace(ws)
 }
 

@@ -61,28 +61,28 @@ func TestTaskGraphInvariants(t *testing.T) {
 	}
 }
 
-// levelOrder runs the four kernels of k serially in the level-synchronous
-// order of Algorithm 2: upward level by level from the leaves, coupling
-// over every node, downward level by level from the root, then the leaves.
-// It is the reference the scheduler must match bitwise at every worker
-// count.
-func levelOrder(ws *Workspace, k sweep) {
+// levelOrder runs the bound product's four node kernels serially in the
+// level-synchronous order of Algorithm 2: upward level by level from the
+// leaves, coupling over every node, downward level by level from the root,
+// then the leaves. It is the reference the scheduler must match bitwise at
+// every worker count.
+func levelOrder(ws *Workspace) {
 	t := ws.m.Tree
 	for l := t.Depth() - 1; l >= 0; l-- {
 		for _, id := range t.Levels[l] {
-			k.up(0, id)
+			ws.upNode(0, id)
 		}
 	}
 	for id := range t.Nodes {
-		k.coup(0, id)
+		ws.coupNode(0, id)
 	}
 	for l := 0; l < t.Depth(); l++ {
 		for _, id := range t.Levels[l] {
-			k.down(0, id)
+			ws.downNode(0, id)
 		}
 	}
 	for i := range t.Leaves {
-		k.leaf(0, i)
+		ws.leafNode(0, i)
 	}
 	ws.flushCounters()
 }
@@ -92,12 +92,11 @@ func levelOrder(ws *Workspace, k sweep) {
 func levelOrderApply(m *Matrix, b []float64, transpose bool) []float64 {
 	ws := m.NewWorkspace()
 	defer ws.Close()
-	m.Tree.PermuteVec(ws.bp, b)
-	ws.bindVec(m, ws.bp, ws.yp, transpose)
-	levelOrder(ws, ws.vec)
-	ws.unbind()
+	ws.bind(m, 1, transpose)
+	m.Tree.PermuteVec(ws.bp.Data, b)
+	levelOrder(ws)
 	y := make([]float64, m.N)
-	m.Tree.UnpermuteVec(y, ws.yp)
+	m.Tree.UnpermuteVec(y, ws.yp.Data)
 	return y
 }
 
@@ -105,9 +104,11 @@ func levelOrderApply(m *Matrix, b []float64, transpose bool) []float64 {
 func levelOrderApplyBatch(m *Matrix, B *mat.Dense) *mat.Dense {
 	ws := m.NewWorkspace()
 	defer ws.Close()
-	ws.bindBatch(m, B)
-	levelOrder(ws, ws.batch)
-	ws.unbind()
+	ws.bind(m, B.Cols, false)
+	for row, orig := range m.Tree.Perm {
+		copy(ws.bp.Row(row), B.Row(orig))
+	}
+	levelOrder(ws)
 	Y := mat.NewDense(0, 0)
 	ws.unpermuteBatch(Y)
 	return Y

@@ -20,8 +20,8 @@ import (
 // carry the nearfield block rows — interleave with everything else, filling
 // the idle time the barriers used to burn.
 //
-// Bitwise contract: every output slot (a node's q segment, g segment, or a
-// leaf's y range) is written by exactly one task, and each task's internal
+// Bitwise contract: every output slot (a node's q panel, g panel, or a
+// leaf's y rows) is written by exactly one task, and each task's internal
 // arithmetic is a fixed per-node kernel. The graph edges reproduce the
 // level-synchronous ordering wherever two tasks touch the same slot
 // (coupling zero+accumulate before the parent's downward add, downward add
@@ -49,10 +49,11 @@ import (
 //	coup(l)  -> leaf(l)              leaf reads g_l after coupling
 //	down(p)  -> leaf(l)              ... and after the parent's add
 //
-// The same graph serves the forward, transpose, batched and sharded
-// products: they swap which generator side the stages read (U/R vs V/W) or
-// replace stages with no-ops, but touch the same slots in the same node
-// topology.
+// The same graph and the same four node kernels serve every product: the
+// forward and transpose swap which generator side the stages read (U/R vs
+// V/W), a k-column batch widens every slot to a k-column panel, and a shard
+// scatter skips the downward and leaf stages, but all touch the same slots
+// in the same node topology.
 type taskGraph struct {
 	nNodes  int
 	total   int32
@@ -207,8 +208,10 @@ func (ws *Workspace) runSched(w int) {
 	}
 }
 
-// execTask dispatches one task to the current sweep's per-node kernel and
-// charges its wall time to the worker's per-stage counter line.
+// execTask runs one task's node kernel and charges its wall time to the
+// worker's per-stage counter line. A scatter (only set) stops after the
+// coupling sweep: its downward and leaf tasks run nothing and only release
+// their dependents.
 func (ws *Workspace) execTask(w int, t int32) {
 	g := ws.sched.g
 	nN := int32(g.nNodes)
@@ -216,32 +219,32 @@ func (ws *Workspace) execTask(w int, t int32) {
 	base := w * ctrStride
 	switch {
 	case t < nN:
-		ws.cur.up(w, int(t))
+		ws.upNode(w, int(t))
 		ws.ctr[base+ctrUpNS] += nowNS() - t0
 	case t < 2*nN:
-		ws.cur.coup(w, int(t-nN))
+		ws.coupNode(w, int(t-nN))
 		ws.ctr[base+ctrCoupNS] += nowNS() - t0
+	case ws.only != nil:
 	default:
 		id := int(t - 2*nN)
 		if k := g.leafIdx[id]; k >= 0 {
-			ws.cur.leaf(w, int(k))
+			ws.leafNode(w, int(k))
 			ws.ctr[base+ctrLeafNS] += nowNS() - t0
 		} else {
-			ws.cur.down(w, id)
+			ws.downNode(w, id)
 			ws.ctr[base+ctrDownNS] += nowNS() - t0
 		}
 	}
 }
 
-// runScheduled executes one full product (all five sweeps) with the kernels
-// of k as a single barrier-free phase: one runSched loop per pool worker
-// slot, each with a distinct per-worker counter and scratch line. With one
-// worker the pool runs its single slot on the caller, so the apply is a
-// serial drain of the ready ring; a closed workspace (nil pool) drains the
-// ring on the caller directly. The per-worker counters are then flushed
-// and the run is counted as one apply.
-func (ws *Workspace) runScheduled(k sweep) {
-	ws.cur = k
+// runScheduled executes one full product (all five sweeps) as a single
+// barrier-free phase: one runSched loop per pool worker slot, each with a
+// distinct per-worker counter and scratch line. With one worker the pool
+// runs its single slot on the caller, so the apply is a serial drain of the
+// ready ring; a closed workspace (nil pool) drains the ring on the caller
+// directly. The per-worker counters are then flushed and the run is counted
+// as one apply.
+func (ws *Workspace) runScheduled() {
 	ws.sched.reset(ws.m.schedGraph())
 	if ws.pool == nil {
 		ws.runSched(0)

@@ -313,7 +313,7 @@ func (s *serialReader) readDense() *mat.Dense {
 	if s.err != nil {
 		return nil
 	}
-	if len(data) != rows*cols {
+	if rows < 0 || cols < 0 || len(data) != rows*cols {
 		s.err = fmt.Errorf("core: corrupt dense block %dx%d with %d values", rows, cols, len(data))
 		return nil
 	}
@@ -408,7 +408,7 @@ func readBlockStore(s *serialReader) *BlockStore {
 		bs.hdr[k].Data = bs.slab[off : off+sz]
 		off += sz
 	}
-	bs.frozenBytes = need*8 + int64(len(bs.hdr))*40 + int64(len(bs.rowPtr)+len(bs.colIdx))*4
+	bs.frozenBytes = bs.csrBytes(need)
 	bs.frozenMaxBlk = maxBlk
 	bs.frozen.Store(true)
 	return bs
@@ -623,8 +623,11 @@ func readBody(s *serialReader, k kernel.Pairwise, version uint32) (*Matrix, erro
 		return nil, fmt.Errorf("core: corrupt tree section")
 	}
 	t.InvPerm = make([]int, m.N)
+	for i := range t.InvPerm {
+		t.InvPerm[i] = -1
+	}
 	for kk, orig := range t.Perm {
-		if orig < 0 || orig >= m.N {
+		if orig < 0 || orig >= m.N || t.InvPerm[orig] >= 0 {
 			return nil, fmt.Errorf("core: corrupt permutation entry %d", orig)
 		}
 		t.InvPerm[orig] = kk
@@ -744,6 +747,9 @@ func readBody(s *serialReader, k kernel.Pairwise, version uint32) (*Matrix, erro
 			return nil, err
 		}
 	}
+	if err := m.validateLoaded(blocksFromStream); err != nil {
+		return nil, err
+	}
 
 	// Rebuild derived state: identity index, skeleton point sets, grids.
 	m.allIdx = make([]int, m.N)
@@ -759,20 +765,13 @@ func readBody(s *serialReader, k kernel.Pairwise, version uint32) (*Matrix, erro
 			m.skelPts[id] = t.Points
 		}
 	}
-	if err := m.validateLoaded(); err != nil {
-		return nil, err
-	}
 	if (m.Cfg.Mode == Normal || m.Cfg.Mode == Hybrid) && !blocksFromStream {
 		// Reassemble the stored blocks on a transient build pool, exactly as
 		// Build does. Hybrid selection is deterministic, so a round-trip
 		// stores the identical block subset. Kernel-less streams skip this:
 		// their blocks came off the wire verbatim above.
 		m.buildPool = par.NewPool(m.Cfg.Workers)
-		if m.Cfg.Mode == Normal {
-			m.storeBlocks()
-		} else {
-			m.storeBlocksHybrid(m.Cfg.StorageBudget)
-		}
+		m.storeModeBlocks()
 		m.buildPool.Close()
 		m.buildPool = nil
 	}
@@ -780,39 +779,198 @@ func readBody(s *serialReader, k kernel.Pairwise, version uint32) (*Matrix, erro
 	return m, nil
 }
 
-// validateLoaded sanity-checks cross-references after deserialization so a
-// corrupt stream fails loudly instead of panicking later.
-func (m *Matrix) validateLoaded() error {
-	if v := m.Cfg.RelTol; math.IsNaN(v) || v < 0 || v >= 1 {
+// validateLoaded checks a deserialized matrix's structure before anything
+// is derived from it, so a corrupt stream fails loudly instead of panicking
+// or hanging later: the configuration, the tree (a rooted tree whose
+// children partition their parent's range, the shape the apply's task graph
+// needs for every task to become ready), the generator shapes, the
+// skeleton and sample indices, and any stored blocks.
+func (m *Matrix) validateLoaded(blocksFromStream bool) error {
+	cfg := &m.Cfg
+	if cfg.Kind != DataDriven && cfg.Kind != Interpolation {
+		return fmt.Errorf("core: corrupt basis kind %d", cfg.Kind)
+	}
+	if cfg.Mode != Normal && cfg.Mode != OnTheFly && cfg.Mode != Hybrid {
+		return fmt.Errorf("core: corrupt memory mode %d", cfg.Mode)
+	}
+	if blocksFromStream && cfg.Mode != Normal {
+		return fmt.Errorf("core: stored-block stream in %v mode", cfg.Mode)
+	}
+	if v := cfg.Tol; math.IsNaN(v) || v <= 0 {
+		return fmt.Errorf("core: corrupt tolerance %g", v)
+	}
+	if v := cfg.RelTol; math.IsNaN(v) || v < 0 || v >= 1 {
 		return fmt.Errorf("core: corrupt reltol %g", v)
 	}
-	nNodes := len(m.Tree.Nodes)
-	for id := 0; id < nNodes; id++ {
-		nd := &m.Tree.Nodes[id]
-		if nd.Start < 0 || nd.End > m.N || nd.Start > nd.End {
+	if cfg.StorageBudget < 0 {
+		return fmt.Errorf("core: corrupt storage budget %d", cfg.StorageBudget)
+	}
+	if err := m.validateTree(); err != nil {
+		return err
+	}
+
+	// Skeleton indices point into the permuted points (data-driven) or the
+	// node's p^d Chebyshev grid (interpolation).
+	limit := m.N
+	if cfg.Kind == Interpolation {
+		limit = 1
+		for d := 0; d < m.Dim; d++ {
+			if cfg.P < 1 || limit > maxSliceLen/cfg.P {
+				return fmt.Errorf("core: corrupt interpolation order %d", cfg.P)
+			}
+			limit *= cfg.P
+		}
+	}
+	t := m.Tree
+	for id := range t.Nodes {
+		nd := &t.Nodes[id]
+		if cfg.Kind == Interpolation && (len(nd.Box.Min) != m.Dim || len(nd.Box.Max) != m.Dim) {
+			return fmt.Errorf("core: corrupt bounding box at node %d", id)
+		}
+		if err := m.validateSide(id, m.skel[id], m.ranks[id], m.u[id], m.trans[id], m.ranks, limit); err != nil {
+			return err
+		}
+		if !m.sharedBasis {
+			if err := m.validateSide(id, m.colSkel[id], m.colRanks[id], m.v[id], m.wTrans[id], m.colRanks, limit); err != nil {
+				return err
+			}
+		}
+		if cfg.Kind == Interpolation && m.ranks[id] != limit {
+			return fmt.Errorf("core: node %d rank %d, interpolation order gives %d", id, m.ranks[id], limit)
+		}
+	}
+	if m.hier != nil {
+		for id := range t.Nodes {
+			for _, set := range [][]int{m.hier.XStar[id], m.hier.YStar[id]} {
+				for _, p := range set {
+					if p < 0 || p >= m.N {
+						return fmt.Errorf("core: corrupt sample index %d at node %d", p, id)
+					}
+				}
+			}
+		}
+	}
+	if blocksFromStream {
+		if err := m.validateStore(m.coup, false); err != nil {
+			return err
+		}
+		return m.validateStore(m.near, true)
+	}
+	return nil
+}
+
+// validateTree checks that the loaded nodes form the tree Build produces:
+// node 0 is the root over [0, N); every other node has one parent with a
+// smaller id, sits one level below it and is listed among its children
+// exactly once; a node is a leaf exactly when it has no children, and the
+// children tile their parent's point range in order. Interaction and
+// nearfield entries must be node ids.
+func (m *Matrix) validateTree() error {
+	t := m.Tree
+	nNodes := len(t.Nodes)
+	if nNodes == 0 {
+		return fmt.Errorf("core: corrupt tree with no nodes")
+	}
+	if root := &t.Nodes[0]; root.Parent != -1 || root.Start != 0 || root.End != m.N {
+		return fmt.Errorf("core: corrupt root node")
+	}
+	listed := make([]int, nNodes)
+	for id := range t.Nodes {
+		nd := &t.Nodes[id]
+		if id > 0 {
+			if nd.Parent < 0 || nd.Parent >= id || nd.Level != t.Nodes[nd.Parent].Level+1 {
+				return fmt.Errorf("core: corrupt parent %d at node %d", nd.Parent, id)
+			}
+		}
+		if nd.IsLeaf != (len(nd.Children) == 0) {
+			return fmt.Errorf("core: corrupt leaf flag at node %d", id)
+		}
+		next := nd.Start
+		for _, c := range nd.Children {
+			if c <= id || c >= nNodes || t.Nodes[c].Parent != id || t.Nodes[c].Start != next {
+				return fmt.Errorf("core: corrupt child %d of node %d", c, id)
+			}
+			listed[c]++
+			next = t.Nodes[c].End
+		}
+		if nd.Start < 0 || nd.Start > nd.End || (!nd.IsLeaf && next != nd.End) {
 			return fmt.Errorf("core: corrupt node %d range [%d,%d)", id, nd.Start, nd.End)
 		}
-		for _, c := range nd.Children {
-			if c < 0 || c >= nNodes {
-				return fmt.Errorf("core: corrupt child id %d", c)
+		for _, list := range [][]int{nd.Interaction, nd.Near} {
+			for _, j := range list {
+				if j < 0 || j >= nNodes {
+					return fmt.Errorf("core: corrupt list entry %d at node %d", j, id)
+				}
 			}
 		}
-		for _, j := range append(append([]int(nil), nd.Interaction...), nd.Near...) {
-			if j < 0 || j >= nNodes {
-				return fmt.Errorf("core: corrupt list entry %d at node %d", j, id)
+	}
+	for id := 1; id < nNodes; id++ {
+		if listed[id] != 1 {
+			return fmt.Errorf("core: node %d listed as a child %d times", id, listed[id])
+		}
+	}
+	return nil
+}
+
+// validateSide checks one generator side of node id: the skeleton matches
+// the rank and indexes below limit, a leaf basis is size x rank, and an
+// internal node's stacked transfer is (sum of child ranks) x rank.
+func (m *Matrix) validateSide(id int, skel []int, rank int, basis, trans *mat.Dense, ranks []int, limit int) error {
+	if len(skel) != rank {
+		return fmt.Errorf("core: node %d skeleton/rank mismatch", id)
+	}
+	for _, p := range skel {
+		if p < 0 || p >= limit {
+			return fmt.Errorf("core: corrupt skeleton index %d at node %d", p, id)
+		}
+	}
+	nd := &m.Tree.Nodes[id]
+	if nd.IsLeaf {
+		if basis == nil || basis.Rows != nd.Size() || basis.Cols != rank {
+			return fmt.Errorf("core: corrupt leaf basis at node %d", id)
+		}
+		return nil
+	}
+	rows := 0
+	for _, c := range nd.Children {
+		rows += ranks[c]
+	}
+	if trans == nil || trans.Rows != rows || trans.Cols != rank {
+		return fmt.Errorf("core: corrupt transfer block at node %d", id)
+	}
+	return nil
+}
+
+// validateStore checks a stored-block section: a CSR index over node ids
+// with ascending columns per row, and every block shaped as the (i, j)
+// coupling block (row rank x column rank) or, for near, the nearfield block
+// (leaf sizes). A triangular store keeps only i <= j and mirrors the rest,
+// which for coupling blocks needs shared bases.
+func (m *Matrix) validateStore(bs *BlockStore, near bool) error {
+	nNodes := len(m.Tree.Nodes)
+	if len(bs.rowPtr) > nNodes+1 || (len(bs.rowPtr) > 0 && bs.rowPtr[0] != 0) {
+		return fmt.Errorf("core: corrupt block index")
+	}
+	if !bs.directed && !near && !m.sharedBasis {
+		return fmt.Errorf("core: triangular coupling store with separate column bases")
+	}
+	for i := 0; i+1 < len(bs.rowPtr); i++ {
+		lo, hi := bs.rowPtr[i], bs.rowPtr[i+1]
+		if lo > hi {
+			return fmt.Errorf("core: corrupt block index")
+		}
+		for k := lo; k < hi; k++ {
+			j := int(bs.colIdx[k])
+			if j < 0 || j >= nNodes || (k > lo && bs.colIdx[k-1] >= bs.colIdx[k]) || (!bs.directed && i > j) {
+				return fmt.Errorf("core: corrupt block key (%d, %d)", i, j)
 			}
-		}
-		limit := m.skelPts[id].Len()
-		for _, p := range m.skel[id] {
-			if p < 0 || p >= limit {
-				return fmt.Errorf("core: corrupt skeleton index %d at node %d", p, id)
+			rows, cols := m.ranks[i], m.colRank(j)
+			if near {
+				rows, cols = m.Tree.Nodes[i].Size(), m.Tree.Nodes[j].Size()
 			}
-		}
-		if len(m.skel[id]) != m.ranks[id] {
-			return fmt.Errorf("core: node %d skeleton/rank mismatch", id)
-		}
-		if v := m.Cfg.Tol; math.IsNaN(v) || v <= 0 {
-			return fmt.Errorf("core: corrupt tolerance %g", v)
+			if b := &bs.hdr[k]; b.Rows != rows || b.Cols != cols {
+				return fmt.Errorf("core: stored block (%d, %d) is %dx%d, want %dx%d", i, j, b.Rows, b.Cols, rows, cols)
+			}
 		}
 	}
 	return nil

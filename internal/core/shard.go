@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-
-	"h2ds/internal/mat"
 )
 
 // ShardPlan partitions one operator's tree at a subtree cut so the five-sweep
@@ -16,11 +14,11 @@ import (
 // identical plan from its own replica of the matrix — the wire protocol only
 // carries the two integers, never the node sets.
 //
-// Both halves run on the scheduler like every other product. The scatter
-// runs the upward and coupling kernels with no-op downward and leaf
-// kernels, the coupling masked to the shard's node set; the gather runs the
-// full product with the coupling of each node that has a received partial
-// replaced by a copy of it.
+// Both halves are vector products on the scheduler like every other
+// product. The scatter runs the upward and coupling tasks and skips the
+// downward and leaf ones, the coupling masked to the shard's node set; the
+// gather runs the full product with the coupling of each node that has a
+// received partial replaced by a copy of it.
 //
 // Bitwise contract: every g_i is computed by exactly one party using the same
 // per-node kernel and the same interaction-list order as the single-node
@@ -130,13 +128,8 @@ func (m *Matrix) gRank(id int, transpose bool) int {
 	return m.ranks[id]
 }
 
-// scatter returns the scatter half's kernels: k's upward and coupling
-// kernels and no-op downward and leaf kernels.
-func scatter(k sweep) sweep { return sweep{k.up, k.coup, noop, noop} }
-
-func noop(_, _ int) {}
-
-// scatterOnly restricts the coupling kernel of the next run to nodes.
+// scatterOnly restricts the coupling kernel of the next run to nodes and
+// ends the run after the coupling sweep.
 func (ws *Workspace) scatterOnly(nodes []int) {
 	ws.only = make([]bool, len(ws.m.Tree.Nodes))
 	for _, id := range nodes {
@@ -144,11 +137,11 @@ func (ws *Workspace) scatterOnly(nodes []int) {
 	}
 }
 
-// gatherParts validates the shard partials for k right-hand sides and
-// splits them per node: the coupling kernel copies parts[id] into g_id
-// instead of computing it. A nil shard partial leaves its nodes nil, so the
-// coordinator recomputes them locally.
-func (m *Matrix) gatherParts(p *ShardPlan, parts [][]float64, k int, transpose bool) ([][]float64, error) {
+// gatherParts validates the shard partials and splits them per node: the
+// coupling kernel copies parts[id] into g_id instead of computing it. A nil
+// shard partial leaves its nodes nil, so the coordinator recomputes them
+// locally.
+func (m *Matrix) gatherParts(p *ShardPlan, parts [][]float64, transpose bool) ([][]float64, error) {
 	if len(parts) != len(p.Nodes) {
 		return nil, fmt.Errorf("core: ApplyGather got %d partials want %d", len(parts), len(p.Nodes))
 	}
@@ -157,12 +150,12 @@ func (m *Matrix) gatherParts(p *ShardPlan, parts [][]float64, k int, transpose b
 		if part == nil {
 			continue
 		}
-		if want := m.PartialLen(p.Nodes[s], transpose) * k; len(part) != want {
+		if want := m.PartialLen(p.Nodes[s], transpose); len(part) != want {
 			return nil, fmt.Errorf("core: shard %d partial length %d want %d", s, len(part), want)
 		}
 		off := 0
 		for _, id := range p.Nodes[s] {
-			n := m.gRank(id, transpose) * k
+			n := m.gRank(id, transpose)
 			byNode[id] = part[off : off+n]
 			off += n
 		}
@@ -183,16 +176,15 @@ func (m *Matrix) ApplyShard(p *ShardPlan, s int, b []float64, transpose bool) ([
 	}
 	ws := m.getWorkspace()
 	defer m.putWorkspace(ws)
-	m.Tree.PermuteVec(ws.bp, b)
-	ws.bindVec(m, ws.bp, nil, transpose)
+	ws.bind(m, 1, transpose)
+	m.Tree.PermuteVec(ws.bp.Data, b)
 	nodes := p.Nodes[s]
 	ws.scatterOnly(nodes)
-	ws.runScheduled(scatter(ws.vec))
+	ws.run()
 	out := make([]float64, 0, m.PartialLen(nodes, transpose))
 	for _, id := range nodes {
-		out = append(out, ws.out.seg(id)...)
+		out = append(out, ws.out.panel[id].Data...)
 	}
-	ws.unbind()
 	return out, nil
 }
 
@@ -205,62 +197,17 @@ func (m *Matrix) ApplyGather(p *ShardPlan, b []float64, parts [][]float64, trans
 	if len(b) != m.N {
 		return nil, fmt.Errorf("core: ApplyGather input length %d want %d", len(b), m.N)
 	}
-	byNode, err := m.gatherParts(p, parts, 1, transpose)
+	byNode, err := m.gatherParts(p, parts, transpose)
 	if err != nil {
 		return nil, err
 	}
 	ws := m.getWorkspace()
 	defer m.putWorkspace(ws)
-	m.Tree.PermuteVec(ws.bp, b)
-	ws.bindVec(m, ws.bp, ws.yp, transpose)
+	ws.bind(m, 1, transpose)
 	ws.parts = byNode
-	ws.runScheduled(ws.vec)
-	ws.unbind()
+	m.Tree.PermuteVec(ws.bp.Data, b)
+	ws.run()
 	y := make([]float64, m.N)
-	m.Tree.UnpermuteVec(y, ws.yp)
+	m.Tree.UnpermuteVec(y, ws.yp.Data)
 	return y, nil
-}
-
-// ApplyBatchShard is the multi-RHS scatter half: packed per-node g panels
-// (rank × k, row-major) in ascending node-id order for shard s. Batch sharding
-// covers the plain product only, matching the single-node batch surface.
-func (m *Matrix) ApplyBatchShard(p *ShardPlan, s int, B *mat.Dense) ([]float64, error) {
-	if s < 0 || s >= len(p.Nodes) {
-		return nil, fmt.Errorf("core: ApplyBatchShard shard %d outside plan of %d", s, len(p.Nodes))
-	}
-	if B.Rows != m.N {
-		return nil, fmt.Errorf("core: ApplyBatchShard rows %d want %d", B.Rows, m.N)
-	}
-	ws := m.getWorkspace()
-	defer m.putWorkspace(ws)
-	ws.bindBatch(m, B)
-	nodes := p.Nodes[s]
-	ws.scatterOnly(nodes)
-	ws.runScheduled(scatter(ws.batch))
-	out := make([]float64, 0, m.PartialLen(nodes, false)*B.Cols)
-	for _, id := range nodes {
-		out = append(out, ws.out.nodeB[id].Data...)
-	}
-	ws.unbind()
-	return out, nil
-}
-
-// ApplyBatchGather is the multi-RHS gather half, bitwise-equal to
-// m.ApplyBatchTo on the same inputs. Nil partials are recomputed locally.
-func (m *Matrix) ApplyBatchGather(p *ShardPlan, Y, B *mat.Dense, parts [][]float64) error {
-	if B.Rows != m.N {
-		return fmt.Errorf("core: ApplyBatchGather rows %d want %d", B.Rows, m.N)
-	}
-	byNode, err := m.gatherParts(p, parts, B.Cols, false)
-	if err != nil {
-		return err
-	}
-	ws := m.getWorkspace()
-	defer m.putWorkspace(ws)
-	ws.bindBatch(m, B)
-	ws.parts = byNode
-	ws.runScheduled(ws.batch)
-	ws.unbind()
-	ws.unpermuteBatch(Y)
-	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"h2ds/internal/kernel"
-	"h2ds/internal/mat"
 	"h2ds/internal/pointset"
 )
 
@@ -73,7 +72,7 @@ func TestShardPlanPartitionsTree(t *testing.T) {
 // TestShardedApplyBitwiseEqual is the distributed-correctness cornerstone:
 // scatter/gather through ApplyShard + ApplyGather must reproduce the
 // single-node product BITWISE for symmetric and unsymmetric kernels, in
-// plain, transpose, and batch form, at several shard counts, storage modes
+// plain and transpose form, at several shard counts, storage modes
 // and worker counts — including the coordinator's local-recompute fallback
 // for a missing shard.
 func TestShardedApplyBitwiseEqual(t *testing.T) {
@@ -102,14 +101,6 @@ func TestShardedApplyBitwiseEqual(t *testing.T) {
 			}
 			want := m.Apply(b)
 			wantT := m.ApplyTranspose(b)
-			B := mat.NewDense(n, 3)
-			for j := 0; j < 3; j++ {
-				col := randVec(n, 93+int64(j))
-				for i := 0; i < n; i++ {
-					B.Row(i)[j] = col[i]
-				}
-			}
-			wantB := m.ApplyBatch(B)
 
 			for _, nshards := range []int{1, 2, 4} {
 				p, err := m.PlanShards(nshards, 0)
@@ -118,15 +109,11 @@ func TestShardedApplyBitwiseEqual(t *testing.T) {
 				}
 				parts := make([][]float64, p.NShards)
 				partsT := make([][]float64, p.NShards)
-				partsB := make([][]float64, p.NShards)
 				for s := 0; s < p.NShards; s++ {
 					if parts[s], err = m.ApplyShard(p, s, b, false); err != nil {
 						t.Fatal(err)
 					}
 					if partsT[s], err = m.ApplyShard(p, s, b, true); err != nil {
-						t.Fatal(err)
-					}
-					if partsB[s], err = m.ApplyBatchShard(p, s, B); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -138,21 +125,12 @@ func TestShardedApplyBitwiseEqual(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				gotB := mat.NewDense(0, 0)
-				if err := m.ApplyBatchGather(p, gotB, B, partsB); err != nil {
-					t.Fatal(err)
-				}
 				for i := range want {
 					if got[i] != want[i] {
 						t.Fatalf("%s/%v nshards=%d: apply differs at %d: %g != %g", k.Name(), mode, nshards, i, got[i], want[i])
 					}
 					if gotT[i] != wantT[i] {
 						t.Fatalf("%s/%v nshards=%d: transpose differs at %d: %g != %g", k.Name(), mode, nshards, i, gotT[i], wantT[i])
-					}
-				}
-				for i := range wantB.Data {
-					if gotB.Data[i] != wantB.Data[i] {
-						t.Fatalf("%s/%v nshards=%d: batch differs at flat %d", k.Name(), mode, nshards, i)
 					}
 				}
 

@@ -175,10 +175,10 @@ func TestDirectedBlockStore(t *testing.T) {
 		t.Fatal("directed store key handling wrong")
 	}
 	g := make([]float64, 3)
-	if !s.applyVec(g, 5, 1, []float64{1, 2}, false, false) {
+	if !s.apply(colPanel(g), 5, 1, colPanel([]float64{1, 2}), false, false) {
 		t.Fatal("directed apply missed")
 	}
-	if s.applyVec(g, 1, 5, []float64{1, 2, 3}, false, false) {
+	if s.apply(colPanel(g), 1, 5, colPanel([]float64{1, 2, 3}), false, false) {
 		t.Fatal("directed apply must not transpose")
 	}
 }

@@ -344,8 +344,13 @@ func BlockTVecAdd(out []float64, pk Pairwise, x *pointset.Points, rows []int, y 
 // tile row at a time is materialized into rowbuf (caller-owned scratch,
 // reshaped here) and reused across every column of B, so the working set is
 // one row panel regardless of tile size. C is len(rows) x B.Cols and B is
-// len(cols) x B.Cols.
+// len(cols) x B.Cols. A single column (B.Cols == 1) runs BlockVecAdd, which
+// needs no row panel.
 func BlockMulAdd(c *mat.Dense, pk Pairwise, x *pointset.Points, rows []int, y *pointset.Points, cols []int, b *mat.Dense, rowbuf *mat.Dense) {
+	if b.Cols == 1 {
+		BlockVecAdd(c.Data, pk, x, rows, y, cols, b.Data)
+		return
+	}
 	rk, radial := pk.(Kernel)
 	d := x.Dim
 	n := b.Cols

@@ -313,8 +313,8 @@ func Assemble(dst *mat.Dense, pk Pairwise, x *pointset.Points, rows []int, y *po
 
 // AssembleSeed is Assemble forced onto the per-entry evaluation paths
 // (dimension-specialized EvalDist loops for radial kernels, EvalPair
-// otherwise) — the pre-fusion construction path, kept callable for the
-// fused-vs-seed equivalence suite and the build bench's seed baseline.
+// otherwise) — the pre-fusion construction path, kept callable as the
+// reference of the fused-vs-seed equivalence suite.
 func AssembleSeed(dst *mat.Dense, pk Pairwise, x *pointset.Points, rows []int, y *pointset.Points, cols []int) *mat.Dense {
 	m, n := len(rows), len(cols)
 	dst.Reshape(m, n)

@@ -569,12 +569,16 @@ func MulVecAddSeq(y []float64, a *Dense, x []float64) {
 // MulTAddToDot computes c += aᵀ*b like MulTAddTo, but with MulAddTo's
 // summation order: each output element accumulates a doubly-strided
 // 4-accumulator dot (dotStride's exact grouping), bitwise-identical to
-// MulAddTo(c, aT, b) on the materialized transpose aT. The hybrid storage
-// mode uses it for transposed stored blocks on the batched sweep.
+// MulAddTo(c, aT, b) on the materialized transpose aT; a single column runs
+// MulTVecAddDot. The hybrid storage mode uses it for mirrored stored blocks.
 func MulTAddToDot(c, a, b *Dense) {
 	if a.Rows != b.Rows || c.Rows != a.Cols || c.Cols != b.Cols {
 		panic(fmt.Sprintf("mat: multaddtodot shape mismatch c=%dx%d a=%dx%d b=%dx%d",
 			c.Rows, c.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
+	}
+	if b.Cols == 1 {
+		MulTVecAddDot(c.Data, a, b.Data)
+		return
 	}
 	n := b.Cols
 	for i := 0; i < a.Cols; i++ {
@@ -609,11 +613,16 @@ func dotStride2(a []float64, ja, na int, b []float64, jb, nb, rows int) float64 
 // must not alias a or b. Each output element accumulates its dot product in
 // a scalar before the single in-place add, mirroring MulVecAdd's summation
 // order so that applying a block to k stacked vectors reproduces the k
-// vector products digit for digit.
+// vector products digit for digit. A single column (b.Cols == 1) runs
+// MulVecAdd itself, so width-1 panels take the vector kernels.
 func MulAddTo(c, a, b *Dense) {
 	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
 		panic(fmt.Sprintf("mat: muladdto shape mismatch c=%dx%d a=%dx%d b=%dx%d",
 			c.Rows, c.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
+	}
+	if b.Cols == 1 {
+		MulVecAdd(c.Data, a, b.Data)
+		return
 	}
 	n := b.Cols
 	for i := 0; i < a.Rows; i++ {
@@ -627,11 +636,16 @@ func MulAddTo(c, a, b *Dense) {
 
 // MulTAddTo computes c += aᵀ*b without materializing the transpose. c is
 // a.Cols x b.Cols and must not alias a or b. Accumulation runs over a's rows
-// directly into c, mirroring MulTVecAdd's summation order.
+// directly into c, mirroring MulTVecAdd's summation order; a single column
+// runs MulTVecAdd itself.
 func MulTAddTo(c, a, b *Dense) {
 	if a.Rows != b.Rows || c.Rows != a.Cols || c.Cols != b.Cols {
 		panic(fmt.Sprintf("mat: multaddto shape mismatch c=%dx%d a=%dx%d b=%dx%d",
 			c.Rows, c.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
+	}
+	if b.Cols == 1 {
+		MulTVecAdd(c.Data, a, b.Data)
+		return
 	}
 	n := b.Cols
 	for i := 0; i < a.Rows; i++ {
@@ -648,11 +662,16 @@ func MulTAddTo(c, a, b *Dense) {
 
 // MulRangeAddTo computes c += a[r0:r1, :]*b for the contiguous row block
 // [r0, r1) of a; c is (r1-r0) x b.Cols. It is MulVecAddRange lifted to k
-// columns, with the same per-element summation order.
+// columns, with the same per-element summation order, and MulVecAddRange
+// itself for a single column.
 func MulRangeAddTo(c, a *Dense, r0, r1 int, b *Dense) {
 	if a.Cols != b.Rows || c.Rows != r1-r0 || c.Cols != b.Cols || r0 < 0 || r1 > a.Rows {
 		panic(fmt.Sprintf("mat: mulrangeaddto shape mismatch rows [%d,%d) of %dx%d, b %dx%d, c %dx%d",
 			r0, r1, a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
+	}
+	if b.Cols == 1 {
+		MulVecAddRange(c.Data, a, r0, r1, b.Data)
+		return
 	}
 	n := b.Cols
 	for i := r0; i < r1; i++ {
@@ -666,11 +685,16 @@ func MulRangeAddTo(c, a *Dense, r0, r1 int, b *Dense) {
 
 // MulTRangeAddTo computes c += a[r0:r1, :]ᵀ*b for the contiguous row block
 // [r0, r1) of a; c is a.Cols x b.Cols and b is (r1-r0) x b.Cols. It is
-// MulTVecAddRange lifted to k columns.
+// MulTVecAddRange lifted to k columns, and MulTVecAddRange itself for a
+// single column.
 func MulTRangeAddTo(c, a *Dense, r0, r1 int, b *Dense) {
 	if b.Rows != r1-r0 || c.Rows != a.Cols || c.Cols != b.Cols || r0 < 0 || r1 > a.Rows {
 		panic(fmt.Sprintf("mat: multrangeaddto shape mismatch rows [%d,%d) of %dx%d, b %dx%d, c %dx%d",
 			r0, r1, a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
+	}
+	if b.Cols == 1 {
+		MulTVecAddRange(c.Data, a, r0, r1, b.Data)
+		return
 	}
 	n := b.Cols
 	for i := r0; i < r1; i++ {

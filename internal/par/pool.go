@@ -205,6 +205,18 @@ func (p *Pool) ForWorker(n int, fn func(worker, i int)) {
 		}
 		<-in.callerWake
 	}
+
+	// Drop the body so the live helpers do not keep whatever it captured
+	// reachable until the next phase. A late helper may still be reading
+	// the phase state, so the clear goes through the publish gate; a helper
+	// that enters afterwards finds every iteration claimed and never calls
+	// fn.
+	in.gate.Store(1)
+	for in.reading.Load() != 0 {
+		runtime.Gosched()
+	}
+	in.fn = nil
+	in.gate.Store(0)
 }
 
 // run claims grains until the phase is exhausted, crediting completed

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestPoolForCoversAllIterations(t *testing.T) {
@@ -226,4 +227,28 @@ func TestPoolRunZeroAlloc(t *testing.T) {
 		}
 		p.Close()
 	}
+}
+
+// TestPoolForReleasesBody: once a phase returns, the pool must not keep its
+// loop body reachable. The helpers live as long as the pool, so a retained
+// body would pin everything it captured — here a 1 MiB buffer — until the
+// next phase replaced it.
+func TestPoolForReleasesBody(t *testing.T) {
+	p := NewPool(2)
+	defer p.Close()
+	freed := make(chan struct{})
+	func() {
+		big := new([1 << 20]byte)
+		runtime.SetFinalizer(big, func(*[1 << 20]byte) { close(freed) })
+		p.For(4, func(i int) { big[i]++ })
+	}()
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("the last For body is still reachable from the pool")
 }

@@ -118,3 +118,43 @@ func TestBudgetDowngradesBeforeEvicting(t *testing.T) {
 		t.Fatalf("downgraded result diverges: %g", d)
 	}
 }
+
+// TestBudgetEvictsBlocklessHybrid pins the end of the reclaim loop: a hybrid
+// tenant with no stored blocks has nothing left to shed, so a budget below
+// its non-block memory must evict it. An empty block store that reported a
+// nonzero footprint made every pass downgrade the same victim again, so
+// the reclaim never returned and Close hung behind it.
+func TestBudgetEvictsBlocklessHybrid(t *testing.T) {
+	r := New(Config{Workers: 1, MemBudget: 1})
+	sp := tinySpec(81)
+	sp.Mem = "hybrid"
+	sp.StorageBudget = 0
+	if err := r.Create("h", sp); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		st := r.Stats()
+		inf, _ := r.Get("h")
+		if st.Evictions >= 1 && inf.State == StateEvicted {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("blockless hybrid tenant never evicted: stats %+v info %+v", st, inf)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if st := r.Stats(); st.Downgrades != 0 {
+		t.Fatalf("downgraded a tenant with no stored blocks: %+v", st)
+	}
+	closed := make(chan struct{})
+	go func() {
+		r.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close hung")
+	}
+}

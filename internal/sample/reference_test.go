@@ -8,9 +8,8 @@ import (
 )
 
 // TestAnchorNetReferenceIdentical: the tuned nearest-candidate scan and the
-// pre-acceleration reference scan must select byte-identical sample sets —
-// the contract that lets SeedConstruction builds share skeletons, caches,
-// and certificates with accelerated ones.
+// pre-acceleration reference scan must select byte-identical sample sets, so
+// the tuned scan changes speed and nothing else.
 func TestAnchorNetReferenceIdentical(t *testing.T) {
 	ref := Reference(AnchorNet{})
 	if ref.Name() != "anchornet" || Key(ref) != Key(AnchorNet{}) {

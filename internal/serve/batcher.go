@@ -309,27 +309,34 @@ func (s *Batcher) flushWorker() {
 		if k == 1 {
 			y := make([]float64, n)
 			s.m.ApplyToWith(ws, y, live[0].b)
-			s.st.flushLat.observeDur(time.Since(t0))
+			s.flushed(k, t0)
 			s.answer(live[0], result{y: y})
-		} else {
-			B.Reshape(n, k)
-			for j, r := range live {
-				for i, v := range r.b {
-					B.Data[i*k+j] = v
-				}
-			}
-			s.m.ApplyBatchToWith(ws, Y, B)
-			s.st.flushLat.observeDur(time.Since(t0))
-			for j, r := range live {
-				y := make([]float64, n)
-				for i := range y {
-					y[i] = Y.Data[i*k+j]
-				}
-				s.answer(r, result{y: y})
+			continue
+		}
+		B.Reshape(n, k)
+		for j, r := range live {
+			for i, v := range r.b {
+				B.Data[i*k+j] = v
 			}
 		}
-		s.st.batches.Add(1)
-		s.st.served.Add(int64(k))
-		s.st.occupancy.observe(int64(k))
+		s.m.ApplyBatchToWith(ws, Y, B)
+		s.flushed(k, t0)
+		for j, r := range live {
+			y := make([]float64, n)
+			for i := range y {
+				y[i] = Y.Data[i*k+j]
+			}
+			s.answer(r, result{y: y})
+		}
 	}
+}
+
+// flushed records a finished flush of k requests started at t0. It runs
+// before the answers go out, so a caller holding its result sees the flush
+// counted in Stats.
+func (s *Batcher) flushed(k int, t0 time.Time) {
+	s.st.flushLat.observeDur(time.Since(t0))
+	s.st.batches.Add(1)
+	s.st.served.Add(int64(k))
+	s.st.occupancy.observe(int64(k))
 }
